@@ -3,16 +3,15 @@
     python -m repro run quick --jobs 4        # tables/figures harness
     python -m repro lint --all                # static netlist analyzer
     python -m repro perf diff a.json b.json   # perf snapshots & gates
-    python -m repro search report runs/...    # search-state observatory
+    python -m repro report runs/...           # search & coverage reports
     python -m repro fault-analysis dk16.ji.sd # static fault analyzer
     python -m repro service serve --store ... # ATPG-as-a-service daemon
 
 Each command delegates, arguments untouched, to the matching
 subsystem CLI (``repro.harness``, ``repro.lint``, ``repro.obs.perf``,
-``repro.obs.search``, ``repro.obs.coverage``, ``repro.fault.analysis``,
-``repro.service``).
-The per-subsystem ``python -m`` spellings keep working but print a
-one-line pointer here.
+``repro.obs.report``, ``repro.fault.analysis``, ``repro.service``).
+The per-subsystem ``python -m`` spellings of the other commands keep
+working but print a one-line pointer here.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ COMMANDS = {
     "run": ("repro.harness.__main__", "regenerate the paper's tables and figures"),
     "lint": ("repro.lint.__main__", "static netlist analyzer (DRC)"),
     "perf": ("repro.obs.perf.__main__", "perf snapshots, diffs and gates"),
-    "search": ("repro.obs.search.__main__", "search-state observatory reports"),
-    "coverage": (
-        "repro.obs.coverage.__main__",
-        "fault-lifecycle & coverage observatory reports",
+    "report": (
+        "repro.obs.report",
+        "search-waste and fault-lifecycle observatory report",
     ),
     "fault-analysis": (
         "repro.fault.analysis.__main__",

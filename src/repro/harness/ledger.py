@@ -9,7 +9,7 @@ source of truth: the final report is assembled *from ledger rows*, and
 Record schema (one JSON object per line)::
 
     {
-      "v": 2,                     # record version
+      "v": 6,                     # record version
       "key": "table2:hitec:dk16.ji.sd",
       "kind": "hitec_pair",       # task kind (see runner.TaskSpec)
       "pair": "dk16.ji.sd",       # circuit pair, null for global tasks
@@ -22,15 +22,10 @@ Record schema (one JSON object per line)::
       "wall_seconds": 1.3,        # wall clock of the attempt
       "peak_rss_kb": 51234,       # worker peak RSS (ru_maxrss)
       "counters": {...},          # dotted AtpgResult counters (see
-                                  #   DESIGN.md "Metric naming")
+                                  #   DESIGN.md "Metric naming"); the
+                                  #   perf and search observatories
+                                  #   read these directly
       "metrics": {...},           # MetricsRegistry.dump() of the attempt
-      "perf": {...},              # deterministic PerfRecord core:
-                                  #   schema + flattened counters
-                                  #   (repro.obs.perf; ok rows only)
-      "search": {...},            # deterministic search-observatory
-                                  #   core: schema + the search.*
-                                  #   counter subset per scope
-                                  #   (repro.obs.search; ok ATPG rows)
       "lifecycle": {...},         # deterministic per-fault lifecycle
                                   #   core: schema + records per scope
                                   #   (repro.obs.coverage; ok ATPG rows)
@@ -38,28 +33,15 @@ Record schema (one JSON object per line)::
       "error": "…"                # traceback summary (failures only)
     }
 
-Version history: v1 rows used flat counter keys (``backtracks``,
-``total_faults`` …) and had no ``metrics`` field; support for
-normalizing them was retired with the service-layer redesign —
-:data:`MIN_RECORD_VERSION` is 2 and :meth:`TaskRecord.from_dict`
-rejects v1 rows (``load_records`` counts them with the torn lines), so
-a pre-v2 ledger resumes as if empty instead of resuming with
-mis-spelled counters.  v2 rows had no ``perf`` field; loading
-synthesizes it from the counters, so pre-perf ledgers feed the
-perf-snapshot and diff tooling unchanged.  v3 rows had no ``search``
-field; loading synthesizes it the same way (old rows have no
-``search.*`` counters, so it is usually empty).  v4 rows had no
-``lifecycle`` field; loading synthesizes an empty one (per-fault
-records cannot be reconstructed from counters — old rows simply have
-no forensics).  v5 rows are also what the :mod:`repro.service`
-content-addressed store holds — a cache hit replays the stored row
-into the run ledger verbatim (the service key schema was bumped
-alongside v5, so stores holding lifecycle-less v4 rows miss and
-recompute instead of silently serving rows without forensics).  The
-``perf``, ``search`` and ``lifecycle`` payloads hold only
-deterministic fields — wall seconds and peak RSS stay in the
-designated wall-time columns — keeping rows byte-identical across
-``--jobs`` levels modulo :data:`WALL_TIME_FIELDS`.
+Each fact is stored once: ``counters`` and ``lifecycle`` hold only
+deterministic values, and wall seconds and peak RSS stay in the
+designated wall-time columns, keeping rows byte-identical across
+``--jobs`` levels modulo :data:`WALL_TIME_FIELDS`.  Rows are also what
+the :mod:`repro.service` content-addressed store holds — a cache hit
+replays the stored row into the run ledger.
+
+Version history: v6 dropped the derived ``perf``/``search`` cores (a
+v5 row loads with them discarded); rows older than v5 are rejected.
 
 A run killed mid-write leaves a torn final line; :func:`load_records`
 tolerates any undecodable line (counting it) so a resumed run can pick
@@ -78,14 +60,12 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..lint.gate import _SUMMARY_DETAIL_LIMIT, LintLedger
 from ..lint.severity import Severity
-from ..obs.perf import PerfRecord, deterministic_core, record_from_ledger_row
-from ..obs.search import search_core
 
 LEDGER_NAME = "ledger.jsonl"
-RECORD_VERSION = 5
-#: Oldest record version still loadable (v1's flat counter keys are no
-#: longer normalized; see the version history above).
-MIN_RECORD_VERSION = 2
+RECORD_VERSION = 6
+#: Oldest record version still loadable: a v5 row holds every field v6
+#: keeps, older rows lack per-fault lifecycle records.
+MIN_RECORD_VERSION = 5
 
 #: Ledger fields that vary run-to-run even for identical science
 #: (excluded by the serial-vs-parallel equivalence tests).
@@ -109,8 +89,6 @@ class TaskRecord:
     peak_rss_kb: int = 0
     counters: Dict[str, Any] = dataclasses.field(default_factory=dict)
     metrics: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    perf: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    search: Dict[str, Any] = dataclasses.field(default_factory=dict)
     lifecycle: Dict[str, Any] = dataclasses.field(default_factory=dict)
     payload: Dict[str, Any] = dataclasses.field(default_factory=dict)
     error: str = ""
@@ -128,32 +106,13 @@ class TaskRecord:
         if version < MIN_RECORD_VERSION:
             raise ValueError(
                 f"ledger record version {version} predates "
-                f"MIN_RECORD_VERSION={MIN_RECORD_VERSION} (v1 flat "
-                "counter keys are no longer supported)"
+                f"MIN_RECORD_VERSION={MIN_RECORD_VERSION}"
             )
         data["tables"] = tuple(data.get("tables") or ())
-        # Pre-v3 rows had no perf payload; synthesize the deterministic
-        # core from the counters so old ledgers feed the perf tooling
-        # like new ones.
-        if version < 3 and data.get("outcome") == "ok":
-            data["perf"] = deterministic_core(data.get("counters") or {})
-        # Pre-v4 rows had no search payload; synthesize it so old
-        # ledgers feed the search observatory uniformly (pre-search
-        # counters have no search.* keys, so this is usually empty).
-        if version < 4 and data.get("outcome") == "ok":
-            data["search"] = search_core(data.get("counters") or {})
-        # Pre-v5 rows had no lifecycle payload, and per-fault records
-        # cannot be synthesized from counters — old rows load with
-        # empty forensics.
-        if version < 5:
-            data["lifecycle"] = {}
+        # Unknown fields — a v5 row's perf/search cores included — are
+        # dropped.
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
-
-    def perf_record(self) -> PerfRecord:
-        """The full :class:`~repro.obs.perf.PerfRecord` of this attempt
-        (deterministic core + the row's wall/RSS metadata)."""
-        return record_from_ledger_row(dataclasses.asdict(self))
 
 
 def new_run_id() -> str:

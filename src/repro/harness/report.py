@@ -22,7 +22,7 @@ from ..obs.coverage import (
     cell_records_from_ledger_rows,
     render_abort_forensics,
 )
-from ..obs.perf import render_effort_attribution
+from ..obs.perf import record_from_ledger_row, render_effort_attribution
 from ..obs.search import render_waste_attribution, waste_rows_from_ledger_rows
 from . import ledger as ledger_mod
 from .figure3 import Curve
@@ -169,39 +169,32 @@ def assemble_report(
             title=f"Static analysis (DRC) gate [{config.lint_mode}]",
         )
     )
-    # Effort attribution: deterministic search counters per cell, in
-    # canonical task order (no wall fields, so the section stays
-    # byte-identical across --jobs levels like the tables above).
+    # The observatory sections below read the completed rows in
+    # canonical task order.
+    ledger_rows = [
+        dataclasses.asdict(completed[task.key])
+        for task in graph
+        if task.key in completed
+    ]
+    # Effort attribution: deterministic search counters per cell (no
+    # wall fields, so the section stays byte-identical across --jobs
+    # levels like the tables above).
     blocks.append(
         render_effort_attribution(
-            completed[task.key].perf_record()
-            for task in graph
-            if task.key in completed
+            record_from_ledger_row(row) for row in ledger_rows
         )
     )
     # Search-waste attribution: invalid-state classification per cell,
     # joined with density of encoding from the same rows (also purely
     # deterministic — byte-identical across --jobs levels).
     blocks.append(
-        render_waste_attribution(
-            waste_rows_from_ledger_rows(
-                dataclasses.asdict(completed[task.key])
-                for task in graph
-                if task.key in completed
-            )
-        )
+        render_waste_attribution(waste_rows_from_ledger_rows(ledger_rows))
     )
     # Coverage & abort forensics: per-cell detection provenance and the
     # abort-reason taxonomy from the lifecycle records (deterministic —
     # byte-identical across --jobs levels like the blocks above).
     blocks.append(
-        render_abort_forensics(
-            cell_records_from_ledger_rows(
-                dataclasses.asdict(completed[task.key])
-                for task in graph
-                if task.key in completed
-            )
-        )
+        render_abort_forensics(cell_records_from_ledger_rows(ledger_rows))
     )
     if elapsed_seconds is not None:
         blocks.append(f"total harness time: {elapsed_seconds:.0f}s")

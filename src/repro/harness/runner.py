@@ -45,8 +45,6 @@ from ..errors import ReproError
 from ..lint import GLOBAL_LEDGER
 from ..obs import Observability, write_trace_jsonl
 from ..obs import coverage as coverage_mod
-from ..obs import perf as perf_mod
-from ..obs import search as search_mod
 from . import ledger as ledger_mod
 from . import figure3, table1, table5, table6, table7, table8
 from .atpg_tables import (
@@ -351,13 +349,8 @@ def _record_for(
     counters = payload.pop("counters", {})
     metrics = payload.pop("metrics", {})
     records = payload.pop("lifecycle", {})
-    # Successful attempts carry their deterministic perf core; the
-    # perf-snapshot tooling joins it with the wall-time columns below.
-    perf = perf_mod.deterministic_core(counters) if outcome == "ok" else {}
-    # ... and the search-observatory core (the search.* subset only;
-    # empty for non-ATPG cells).
-    search = search_mod.search_core(counters) if outcome == "ok" else {}
-    # ... and the per-fault lifecycle core (empty for non-ATPG cells).
+    # Successful attempts carry the per-fault lifecycle core (empty for
+    # non-ATPG cells).
     lifecycle = (
         coverage_mod.lifecycle_core(records) if outcome == "ok" else {}
     )
@@ -375,8 +368,6 @@ def _record_for(
         peak_rss_kb=rss_kb,
         counters=counters,
         metrics=metrics,
-        perf=perf,
-        search=search,
         lifecycle=lifecycle,
         payload=payload,
         error=error,
@@ -437,6 +428,47 @@ def _run_serial(
             emit(f"[runner] {task.key} quarantined")
 
 
+def _classify(
+    result_path: str,
+    exitcode: Optional[int],
+    timed_out: bool,
+    timeout: Optional[float],
+) -> Tuple[str, Optional[Dict], int, str]:
+    """Map a finished or killed worker to ``(outcome, payload, rss_kb,
+    error)``.
+
+    A complete result file counts even if the worker was killed between
+    writing it and exiting; with no result file, ``timed_out`` (the
+    parent killed the worker at its deadline) separates a timeout from
+    a crash.
+    """
+    if os.path.exists(result_path):
+        rss_kb = 0
+        try:
+            with open(result_path, "r", encoding="utf-8") as handle:
+                result = json.load(handle)
+            rss_kb = int(result.get("peak_rss_kb", 0))
+            if result.get("ok"):
+                return "ok", result["payload"], rss_kb, ""
+            error = result.get("error", f"worker exit code {exitcode}")
+            return "crashed", None, rss_kb, error
+        except (ValueError, KeyError) as exc:
+            return "crashed", None, rss_kb, f"unreadable worker result: {exc}"
+    if timed_out:
+        return (
+            "timeout",
+            None,
+            0,
+            f"exceeded task timeout of {timeout}s; worker killed",
+        )
+    return (
+        "crashed",
+        None,
+        0,
+        f"worker died with exit code {exitcode} and no result",
+    )
+
+
 def _finish_attempt(
     running: _Running,
     config: HarnessConfig,
@@ -444,39 +476,18 @@ def _finish_attempt(
     ledger_file: str,
     queue: deque,
     emit: Emit,
+    timed_out: bool = False,
 ) -> None:
     """Classify a finished/killed worker, write the ledger row, and
     requeue or quarantine failed cells."""
     task, attempt = running.task, running.attempt
     wall = time.monotonic() - running.started
-    outcome = "crashed"
-    payload: Optional[Dict] = None
-    rss_kb = 0
-    error = ""
-    exitcode = running.process.exitcode
-    if os.path.exists(running.result_path):
-        try:
-            with open(running.result_path, "r", encoding="utf-8") as handle:
-                result = json.load(handle)
-            rss_kb = int(result.get("peak_rss_kb", 0))
-            if result.get("ok"):
-                # A complete result file counts even if the worker was
-                # killed between writing it and exiting.
-                outcome = "ok"
-                payload = result["payload"]
-            else:
-                error = result.get("error", f"worker exit code {exitcode}")
-        except (ValueError, KeyError) as exc:
-            error = f"unreadable worker result: {exc}"
-    elif exitcode is None:
-        outcome = "timeout"
-        error = (
-            f"exceeded task timeout of {config.task_timeout_seconds}s; "
-            "worker killed"
-        )
-    else:
-        error = f"worker died with exit code {exitcode} and no result"
-
+    outcome, payload, rss_kb, error = _classify(
+        running.result_path,
+        running.process.exitcode,
+        timed_out,
+        config.task_timeout_seconds,
+    )
     ledger_mod.append_record(
         ledger_file,
         _record_for(
@@ -548,14 +559,10 @@ def _run_parallel(
                         if process.is_alive():
                             process.kill()
                             process.join()
-                        # exitcode of a terminated process is negative;
-                        # _finish_attempt keys timeouts off the marker
-                        # below instead.
-                        state.process = _KilledByTimeout(process)
                         del running[key]
                         _finish_attempt(
                             state, config, fingerprint, ledger_file,
-                            queue, emit,
+                            queue, emit, timed_out=True,
                         )
                     continue
                 process.join()
@@ -621,19 +628,6 @@ def assemble_trace(
     path = os.path.join(run_dir, "trace.jsonl")
     write_trace_jsonl(path, merged)
     return path
-
-
-class _KilledByTimeout:
-    """Wrapper marking a worker the parent killed for overrunning its
-    deadline (distinguishes timeout from an ordinary crash)."""
-
-    exitcode = None
-
-    def __init__(self, process):
-        self._process = process
-
-    def is_alive(self) -> bool:
-        return False
 
 
 def run_experiment(

@@ -13,7 +13,7 @@ Every reporting CLI in this repository speaks the same dialect:
 * a ``BrokenPipeError``-tolerant entry point (``... | head`` must not
   produce a traceback).
 
-``repro.obs.search``, ``repro.obs.perf``, ``repro.obs.coverage``,
+``repro.obs.report``, ``repro.obs.perf``,
 ``scripts/trace_summary.py`` and ``scripts/telemetry_summary.py`` all
 build on these helpers instead of re-implementing them.  This module
 must stay import-light (stdlib only): the scripts import it before any
@@ -84,12 +84,9 @@ def write_output(path: str, text: str) -> None:
         handle.write(text + "\n")
 
 
-def run_main(
-    main: Callable[[], int], program: Optional[str] = None
-) -> None:
+def run_main(main: Callable[[], int]) -> None:
     """``sys.exit(main())`` with the shared BrokenPipeError discipline
     (e.g. ``... | head`` closing the pipe exits 0, not a traceback)."""
-    del program  # reserved for future per-program diagnostics
     try:
         sys.exit(main())
     except BrokenPipeError:

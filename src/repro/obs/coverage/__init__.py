@@ -17,12 +17,12 @@ resolution cost (backtracks, frames, sim events charged between the
   embeds, and the cross-engine hard-fault ranking exported as a
   machine-readable target list for the future ``hitec-cdl`` engine;
 * the ledger core — ``lifecycle_core`` embeds the records in every ok
-  ledger row (RECORD_VERSION 5), read back by the CLI.
+  ledger row (since RECORD_VERSION 5), read back by the CLI.
 
-CLI::
+CLI (the lifecycle section of the combined observatory report)::
 
-    python -m repro.obs.coverage report <run-dir-or-ledger>
-    python -m repro.obs.coverage report --targets hard-faults.json
+    python -m repro report <run-dir-or-ledger>
+    python -m repro report --targets hard-faults.json
 
 All records close at deterministic WorkClock-ordered points, so
 reports, curves, and the target list are byte-identical across
@@ -55,7 +55,6 @@ from .report import (
     CellRecords,
     CoverageCurve,
     HardFault,
-    cell_records_from_ledger,
     cell_records_from_ledger_rows,
     coverage_curves,
     hard_fault_targets,
@@ -88,7 +87,6 @@ __all__ = [
     "PROV_RANDOM_PHASE",
     "PROV_TARGETED",
     "TARGETS_SCHEMA_VERSION",
-    "cell_records_from_ledger",
     "cell_records_from_ledger_rows",
     "coverage_curves",
     "hard_fault_targets",

@@ -18,8 +18,8 @@ and produces:
   list (:func:`hard_fault_targets`) for the future ``hitec-cdl``
   engine;
 * text renderings: the compact abort-forensics block the combined
-  harness report embeds, and the fuller report of the
-  ``python -m repro.obs.coverage`` CLI.
+  harness report embeds, and the fuller lifecycle section of
+  ``python -m repro report``.
 
 Everything derives from WorkClock-ordered per-fault records, so every
 rendering and the exported target list are byte-identical between
@@ -33,7 +33,6 @@ import dataclasses
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..perf.record import load_ledger_rows
 from .observer import ABORT_REASONS, INCIDENTAL_PROVENANCES, PROV_TARGETED
 
 #: Version of the ledger-embedded ``lifecycle`` payload.
@@ -93,8 +92,7 @@ def lifecycle_core(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
     ``payload`` is the ``{"original": [records], "retimed": [records]}``
     shape of engine-pair cells; scopes without records are omitted, and
-    a cell with none at all yields an empty dict (non-ATPG cells, and
-    v4 rows synthesized on load).
+    a cell with none at all yields an empty dict (non-ATPG cells).
     """
     faults = {
         scope: list(payload[scope])
@@ -155,10 +153,6 @@ def cell_records_from_ledger_rows(
                 )
             )
     return out
-
-
-def cell_records_from_ledger(path: str) -> List[CellRecords]:
-    return cell_records_from_ledger_rows(load_ledger_rows(path))
 
 
 # ---------------------------------------------------------------------------

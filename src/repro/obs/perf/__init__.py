@@ -24,7 +24,6 @@ from .record import (
     PerfRecord,
     PerfSnapshot,
     collect_environment,
-    deterministic_core,
     flatten_counters,
     load_snapshot,
     metric_name,
@@ -80,7 +79,6 @@ __all__ = [
     "WallDelta",
     "classify_delta",
     "collect_environment",
-    "deterministic_core",
     "diff_records",
     "diff_rollups",
     "diff_snapshots",

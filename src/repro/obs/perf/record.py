@@ -91,19 +91,6 @@ class PerfRecord:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-def deterministic_core(counters: Dict[str, Any]) -> Dict[str, Any]:
-    """The ledger-embedded perf payload for one cell.
-
-    Only deterministic fields belong here — the ledger keeps wall
-    seconds and RSS in its designated wall-time fields, so rows stay
-    byte-identical across ``--jobs`` levels modulo those fields.
-    """
-    return {
-        "schema": PERF_SCHEMA_VERSION,
-        "counters": flatten_counters(counters),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Environment provenance.
 
@@ -201,8 +188,7 @@ def load_snapshot(path: str) -> PerfSnapshot:
 
 # ---------------------------------------------------------------------------
 # Ledger ingestion.  Rows are consumed as plain JSON dicts so this
-# module never imports repro.harness (the harness imports *us* to embed
-# perf payloads in its rows).
+# module never imports repro.harness (the harness report imports *us*).
 
 
 def load_ledger_rows(path: str) -> List[Dict[str, Any]]:
@@ -222,23 +208,14 @@ def load_ledger_rows(path: str) -> List[Dict[str, Any]]:
 
 
 def record_from_ledger_row(row: Dict[str, Any]) -> PerfRecord:
-    """Assemble the full PerfRecord of one successful ledger row.
-
-    Rows of RECORD_VERSION >= 3 embed the deterministic core under
-    ``perf``; v2 rows are upgraded here by flattening their dotted
-    counters, so pre-perf ledgers diff fine.  (v1 flat-key rows are
-    rejected at load time — see ``repro.harness.ledger``.)
-    """
-    perf = row.get("perf") or {}
-    counters = perf.get("counters")
-    if counters is None:
-        counters = flatten_counters(row.get("counters") or {})
+    """Assemble the full PerfRecord of one successful ledger row: its
+    flattened counters plus the row's wall/RSS metadata."""
     return PerfRecord(
         key=row["key"],
         kind=KIND_HARNESS_CELL,
         engine=row.get("engine"),
         pair=row.get("pair"),
-        counters=dict(counters),
+        counters=flatten_counters(row.get("counters") or {}),
         wall_seconds=float(row.get("wall_seconds") or 0.0),
         peak_rss_kb=int(row.get("peak_rss_kb") or 0),
         attrs={

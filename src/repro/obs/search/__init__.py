@@ -16,10 +16,10 @@ first-class observable.  Three pieces:
   encoding, the original→retimed waste movement, and the waste↔density
   rank correlation.
 
-CLI::
+CLI (the waste section of the combined observatory report)::
 
-    python -m repro.obs.search report <run-dir-or-ledger>
-    python -m repro.obs.search report --runs-dir runs   # newest run
+    python -m repro report <run-dir-or-ledger>
+    python -m repro report --runs-dir runs   # newest run
 
 All tallies increment at deterministic WorkClock-ordered points, so
 reports are byte-identical across ``--jobs`` levels.
@@ -38,7 +38,6 @@ from .observer import (
 )
 from .report import (
     SEARCH_PREFIX,
-    SEARCH_SCHEMA_VERSION,
     WasteRow,
     density_map_from_rows,
     pair_deltas,
@@ -46,11 +45,9 @@ from .report import (
     render_pair_deltas,
     render_report,
     render_waste_attribution,
-    search_core,
     search_counter_block,
     waste_density_correlation,
     waste_fraction,
-    waste_rows_from_ledger,
     waste_rows_from_ledger_rows,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "NULL_SEARCH_OBSERVER",
     "NullSearchObserver",
     "SEARCH_PREFIX",
-    "SEARCH_SCHEMA_VERSION",
     "SearchObserver",
     "SearchTally",
     "StateClassifier",
@@ -72,10 +68,8 @@ __all__ = [
     "render_pair_deltas",
     "render_report",
     "render_waste_attribution",
-    "search_core",
     "search_counter_block",
     "waste_density_correlation",
     "waste_fraction",
-    "waste_rows_from_ledger",
     "waste_rows_from_ledger_rows",
 ]

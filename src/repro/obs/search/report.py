@@ -3,14 +3,12 @@
 Consumes run-ledger rows (plain JSON dicts, like :mod:`repro.obs.perf`
 — this module never imports the harness) and produces:
 
-* the deterministic ``search`` core embedded in every ok ledger row
-  (:func:`search_core`, the ``search.*`` analogue of the perf core);
 * per-cell/per-scope :class:`WasteRow` aggregates — examined events,
   invalid fraction, invalid dwell per backtrack — joined with the
   density of encoding recovered from the same ledger's Table 6 rows;
 * text renderings: the waste-attribution table the combined harness
-  report embeds, and the fuller report of the
-  ``python -m repro.obs.search`` CLI (original→retimed waste deltas
+  report embeds, and the fuller waste section of
+  ``python -m repro report`` (original→retimed waste deltas
   plus the waste↔density rank correlation, the paper's §5 claim as a
   single number).
 
@@ -26,10 +24,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ...analysis.correlation import spearman
 from ...errors import AnalysisError
-from ..perf.record import load_ledger_rows
-
-#: Version of the ledger-embedded ``search`` payload.
-SEARCH_SCHEMA_VERSION = 1
 
 #: Metric-name prefix that marks a counter as the observatory's.
 SEARCH_PREFIX = "search."
@@ -42,30 +36,6 @@ def search_counter_block(counters: Mapping[str, Any]) -> Dict[str, Any]:
         for key in sorted(counters)
         if key.startswith(SEARCH_PREFIX)
     }
-
-
-def search_core(counters: Mapping[str, Any]) -> Dict[str, Any]:
-    """The deterministic ``search`` payload of one ok ledger row.
-
-    Handles the nested ``{"original": {...}, "retimed": {...}}`` shape
-    of engine-pair cells; scopes without search counters are omitted,
-    and a cell with none at all yields an empty dict (non-ATPG cells).
-    """
-    scoped: Dict[str, Any] = {}
-    flat: Dict[str, Any] = {}
-    for key in sorted(counters):
-        value = counters[key]
-        if isinstance(value, dict):
-            block = search_counter_block(value)
-            if block:
-                scoped[key] = block
-        elif key.startswith(SEARCH_PREFIX):
-            flat[key] = value
-    merged = dict(scoped)
-    merged.update(flat)
-    if not merged:
-        return {}
-    return {"schema": SEARCH_SCHEMA_VERSION, "counters": merged}
 
 
 def waste_fraction(counters: Mapping[str, Any]) -> Optional[float]:
@@ -201,10 +171,6 @@ def waste_rows_from_ledger_rows(
             waste_row.density = densities.get(waste_row.circuit)
             out.append(waste_row)
     return out
-
-
-def waste_rows_from_ledger(path: str) -> List[WasteRow]:
-    return waste_rows_from_ledger_rows(load_ledger_rows(path))
 
 
 # ---------------------------------------------------------------------------

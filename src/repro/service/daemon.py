@@ -521,6 +521,7 @@ class ServiceDaemon:
         from ..harness.config import HarnessConfig
         from ..harness.runner import (
             TaskSpec,
+            _classify,
             _record_for,
             _result_file,
             _scaled_config,
@@ -780,39 +781,6 @@ class ServiceDaemon:
                 os.unlink(self.socket_path)
             self.telemetry.event("daemon.stop", pid=os.getpid())
             self.telemetry.close()
-
-
-def _classify(result_path, exitcode, timed_out, timeout):
-    """Map a finished/killed worker to (outcome, payload, rss_kb, error)
-    with the same semantics as the runner's ``_finish_attempt``."""
-    if os.path.exists(result_path):
-        try:
-            with open(result_path, "r", encoding="utf-8") as handle:
-                result = json.load(handle)
-            rss_kb = int(result.get("peak_rss_kb", 0))
-            if result.get("ok"):
-                return "ok", result["payload"], rss_kb, ""
-            return (
-                "crashed",
-                None,
-                rss_kb,
-                result.get("error", f"worker exit code {exitcode}"),
-            )
-        except (ValueError, KeyError) as exc:
-            return "crashed", None, 0, f"unreadable worker result: {exc}"
-    if timed_out:
-        return (
-            "timeout",
-            None,
-            0,
-            f"exceeded task timeout of {timeout}s; worker killed",
-        )
-    return (
-        "crashed",
-        None,
-        0,
-        f"worker died with exit code {exitcode} and no result",
-    )
 
 
 def _daemon_worker_entry(task, config_data, result_path):

@@ -42,7 +42,7 @@ class TestRecordRoundTrip:
         assert restored == original
 
     def test_records_are_versioned(self):
-        assert json.loads(record().to_json())["v"] == 5
+        assert json.loads(record().to_json())["v"] == 6
 
     def test_unknown_fields_are_ignored(self):
         data = json.loads(record().to_json())
@@ -50,10 +50,10 @@ class TestRecordRoundTrip:
         assert TaskRecord.from_dict(data) == record()
 
     def test_v1_rows_are_rejected(self):
-        """A v1 ledger row (flat counter keys) predates
-        MIN_RECORD_VERSION: from_dict raises, and load_records counts
-        the line with the torn ones so a pre-v2 ledger resumes as if
-        empty instead of resuming with mis-spelled counters."""
+        """Rows older than v5 (v1's flat counter keys, v2-v4 rows
+        without lifecycle records) predate MIN_RECORD_VERSION:
+        from_dict raises, and load_records counts the line with the
+        torn ones so an old ledger resumes as if empty."""
         data = json.loads(record().to_json())
         data["v"] = 1
         del data["metrics"]
@@ -62,75 +62,30 @@ class TestRecordRoundTrip:
         }
         with pytest.raises(ValueError, match="MIN_RECORD_VERSION"):
             TaskRecord.from_dict(data)
-
-    def test_v2_rows_get_perf_synthesized_on_load(self):
-        """A v2 row (no perf payload) loads with the deterministic perf
-        core rebuilt from its normalized counters."""
-        data = json.loads(record().to_json())
-        data["v"] = 2
-        del data["perf"]
-        restored = TaskRecord.from_dict(data)
-        assert restored.perf == {
-            "schema": 1,
-            "counters": {"original/atpg.backtracks": 7},
-        }
-        full = restored.perf_record()
-        assert full.key == "hitec:dk16.ji.sd"
-        assert full.counters == {"original/atpg.backtracks": 7}
-
-    def test_v3_empty_perf_round_trips_unchanged(self):
-        """Synthesis applies to pre-v3 rows only: a current-version row
-        without a perf payload (e.g. a failure) round-trips as-is."""
-        original = record(outcome="ok", perf={})
-        restored = TaskRecord.from_dict(json.loads(original.to_json()))
-        assert restored == original
-
-    def test_v3_rows_get_search_synthesized_on_load(self):
-        """A v3 row (no search payload) loads with the search core
-        rebuilt from its counters — empty when the row predates the
-        search.* counters, populated when it carries them."""
-        data = json.loads(record().to_json())
-        data["v"] = 3
-        del data["search"]
-        restored = TaskRecord.from_dict(data)
-        assert restored.search == {}  # no search.* counters in the row
-
-        data = json.loads(
-            record(
-                counters={
-                    "original": {
-                        "atpg.backtracks": 7,
-                        "search.invalid_events": 3,
-                    }
-                }
-            ).to_json()
-        )
-        data["v"] = 3
-        del data["search"]
-        restored = TaskRecord.from_dict(data)
-        assert restored.search == {
-            "schema": 1,
-            "counters": {"original": {"search.invalid_events": 3}},
-        }
-
-    def test_v4_empty_search_round_trips_unchanged(self):
-        """A current-version row without a search payload (failure or
-        non-ATPG cell) round-trips as-is."""
-        original = record(outcome="ok", search={})
-        restored = TaskRecord.from_dict(json.loads(original.to_json()))
-        assert restored == original
-
-    def test_v4_rows_get_empty_lifecycle_synthesized_on_load(self):
-        """A v4 row predates the per-fault lifecycle records; they
-        cannot be rebuilt from counters, so the row loads with empty
-        forensics (and any stray value in the field is discarded)."""
         data = json.loads(record().to_json())
         data["v"] = 4
         del data["lifecycle"]
-        assert TaskRecord.from_dict(data).lifecycle == {}
+        with pytest.raises(ValueError, match="MIN_RECORD_VERSION"):
+            TaskRecord.from_dict(data)
 
-        data["lifecycle"] = {"schema": 0, "faults": {"original": []}}
-        assert TaskRecord.from_dict(data).lifecycle == {}
+    def test_v5_row_with_perf_and_search_reserializes_as_v6(self):
+        """A v5 row's derived perf/search cores are dropped on load;
+        everything else survives, so the row re-serializes to exactly
+        the v6 row."""
+        current = json.loads(record().to_json())
+        v5 = dict(
+            current,
+            v=5,
+            perf={
+                "schema": 1,
+                "counters": {"original/atpg.backtracks": 7},
+            },
+            search={},
+        )
+        restored = TaskRecord.from_dict(v5)
+        assert restored == record()
+        assert restored.to_json() == record().to_json()
+        assert json.loads(restored.to_json()) == current
 
     def test_v5_lifecycle_round_trips(self):
         fault_record = {

@@ -13,7 +13,6 @@ from repro.obs.perf import (
     PerfSnapshot,
     classify_delta,
     collect_environment,
-    deterministic_core,
     diff_rollups,
     diff_snapshots,
     flatten_counters,
@@ -252,9 +251,9 @@ class TestBaselineStore:
 
 
 class TestLedgerIngestion:
-    def row(self, key="hitec:dk16.ji.sd", outcome="ok", perf=True):
-        data = {
-            "v": 3,
+    def row(self, key="hitec:dk16.ji.sd", outcome="ok"):
+        return {
+            "v": 6,
             "key": key,
             "kind": "hitec_pair",
             "engine": "hitec",
@@ -267,30 +266,17 @@ class TestLedgerIngestion:
             "peak_rss_kb": 4096,
             "counters": {"original": {"atpg.backtracks": 7}},
         }
-        if perf:
-            data["perf"] = deterministic_core(data["counters"])
-        return data
 
     def write_ledger(self, path, rows):
         with open(path, "w", encoding="utf-8") as handle:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")
 
-    def test_v3_row_uses_embedded_perf(self):
-        record = record_from_ledger_row(self.row())
-        assert record.counters == {"original/atpg.backtracks": 7}
-        assert record.wall_seconds == 1.5
-        assert record.peak_rss_kb == 4096
-
-    def test_v2_row_flattens_counters(self):
-        record = record_from_ledger_row(self.row(perf=False))
-        assert record.counters == {"original/atpg.backtracks": 7}
-
     def test_v1_flat_keys_pass_through_unmapped(self):
         """v1 normalization is retired: rows that reach this layer are
         flattened as-is (the harness ledger rejects v1 rows upstream,
         so legacy flat keys never reach a snapshot in practice)."""
-        row = self.row(perf=False)
+        row = self.row()
         row["v"] = 1
         row["counters"] = {"original": {"backtracks": 7}}
         record = record_from_ledger_row(row)
@@ -299,9 +285,7 @@ class TestLedgerIngestion:
     def test_snapshot_latest_ok_per_key(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         early = self.row()
-        early["perf"] = deterministic_core(
-            {"original": {"atpg.backtracks": 1}}
-        )
+        early["counters"] = {"original": {"atpg.backtracks": 1}}
         rows = [
             early,
             self.row(key="b:x", outcome="crashed"),

@@ -156,3 +156,70 @@ class TestColdWarm:
         )
         assert summary["cache_hits"] == 0
         assert summary["cache_misses"] == 1
+
+
+class TestStoredV5Rows:
+    def test_v5_entry_replays_as_fresh_v6_row(self, tmp_path):
+        """A store filled before v6 holds rows carrying the derived
+        perf/search cores; a cache hit replays them into the run ledger
+        as exactly the row a fresh v6 computation writes."""
+        from repro.harness.cache import ServiceSession
+        from repro.harness.config import HarnessConfig
+        from repro.harness.runner import TaskSpec, _record_for
+
+        config = HarnessConfig(
+            budget=LEAN_BUDGET,
+            circuits=CIRCUITS,
+            tables=TABLES,
+            store_dir=str(tmp_path / "store"),
+        )
+        task = TaskSpec(
+            key="hitec:dk16.ji.sd",
+            kind="hitec_pair",
+            pair="dk16.ji.sd",
+            engine="hitec",
+            tables=("table2", "table6", "table8"),
+        )
+        counters = {
+            "original": {
+                "atpg.backtracks": 7,
+                "search.invalid_events": 3,
+            },
+            "retimed": {"atpg.backtracks": 11},
+        }
+        fresh = _record_for(
+            task, config.fingerprint(), 0, config, "ok", 1.5,
+            payload={
+                "counters": counters,
+                "metrics": {"atpg.backtracks{engine=hitec}": 18},
+                "lifecycle": {"original": [{"fault": "x/0"}]},
+                "tables": {"table2": [{"circuit": "dk16.ji.sd"}]},
+            },
+            rss_kb=4096,
+        )
+        v5 = dict(
+            json.loads(fresh.to_json()),
+            v=5,
+            perf={
+                "schema": 1,
+                "counters": {
+                    "original/atpg.backtracks": 7,
+                    "original/search.invalid_events": 3,
+                    "retimed/atpg.backtracks": 11,
+                },
+            },
+            search={
+                "schema": 1,
+                "counters": {"original": {"search.invalid_events": 3}},
+            },
+        )
+        session = ServiceSession(config)
+        session.store.put(session.cell_key(task), v5)
+
+        ledger_file = str(tmp_path / "ledger.jsonl")
+        assert session.serve_cached([task], ledger_file, lambda _: None) == []
+        assert session.hits.value == 1
+        assert read(ledger_file) == fresh.to_json() + "\n"
+        replayed = json.loads(read(ledger_file))
+        assert replayed["v"] == 6
+        assert "perf" not in replayed and "search" not in replayed

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 
-COMMANDS = ("run", "lint", "perf", "search", "fault-analysis", "service")
+from repro import __main__ as dispatcher
+
+COMMANDS = ("run", "lint", "perf", "report", "fault-analysis", "service")
 
 
 def run_module(module, *args):
@@ -26,6 +28,7 @@ class TestDispatcher:
         assert result.returncode == 0
         for command in COMMANDS:
             assert command in result.stdout
+        assert set(dispatcher.COMMANDS) == set(COMMANDS)
 
     def test_delegates_to_subsystem_help(self):
         result = run_module("repro", "lint", "--help")
