@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 
@@ -117,9 +118,23 @@ def chunked(items: Sequence, size: int) -> Iterator[Sequence]:
         yield items[start : start + size]
 
 
-def popcount(value: int) -> int:
-    """Number of set bits in a non-negative integer."""
-    return bin(value).count("1")
+if sys.version_info >= (3, 10):
+    # Number of set bits in a non-negative integer.
+    popcount = int.bit_count
+else:
+
+    def popcount(value: int) -> int:
+        """Number of set bits in a non-negative integer."""
+        return bin(value).count("1")
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a non-negative ``mask``,
+    ascending."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
 
 
 def note_legacy_entry(old: str, new: str) -> None:

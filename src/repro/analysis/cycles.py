@@ -27,12 +27,13 @@ Three metrics:
 from __future__ import annotations
 
 import dataclasses
-import sys
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Set
 
+from .._util import bit_positions, popcount
 from ..circuit.graph import register_adjacency
 from ..circuit.netlist import Circuit, NodeKind
 from ..errors import AnalysisError
+from .seqdepth import _register_reach
 
 
 @dataclasses.dataclass
@@ -45,65 +46,54 @@ class CycleReport:
     length_exact: bool  # max length proven (vs budget-limited best)
 
 
-def _simple_cycles(
-    adjacency: Dict[str, Set[str]], cap: int
-) -> Iterator[List[str]]:
-    """Simple-cycle enumeration (yields node lists), capped.
+def _cycle_masks(adjacency: Dict[str, Set[str]], cap: int) -> Iterator[int]:
+    """Simple-cycle enumeration, capped; yields each cycle as the bitmask
+    of its vertices' positions in ``sorted(adjacency)``.
 
     A Johnson-style scheme sized for register graphs with tens of
     vertices: each cycle is discovered exactly once, rooted at its
     smallest vertex.
     """
     nodes = sorted(adjacency)
+    index = {name: i for i, name in enumerate(nodes)}
+    successors = [
+        sorted(index[s] for s in adjacency[name] if s in index)
+        for name in nodes
+    ]
     yielded = 0
-
-    for root_position, root in enumerate(nodes):
-        allowed = set(nodes[root_position:])
-        path: List[str] = [root]
-        on_path: Set[str] = {root}
-        stack: List[Iterator[str]] = [
-            iter(sorted(adjacency.get(root, set()) & allowed))
-        ]
+    for root, root_successors in enumerate(successors):
+        path = [root]
+        path_mask = 1 << root
+        stack = [iter(root_successors)]
         while stack:
-            advanced = False
             for successor in stack[-1]:
                 if successor == root:
-                    yield list(path)
+                    yield path_mask
                     yielded += 1
                     if yielded >= cap:
                         return
                     continue
-                if successor in on_path:
+                # Vertices below the root were roots already.
+                if successor < root or (path_mask >> successor) & 1:
                     continue
                 path.append(successor)
-                on_path.add(successor)
-                stack.append(
-                    iter(sorted(adjacency.get(successor, set()) & allowed))
-                )
-                advanced = True
+                path_mask |= 1 << successor
+                stack.append(iter(successors[successor]))
                 break
-            if not advanced:
-                on_path.discard(path.pop())
+            else:
+                path_mask ^= 1 << path.pop()
                 stack.pop()
 
 
 def count_dff_cycles(circuit: Circuit, cap: int = 200_000) -> CycleReport:
     """Table 5 metrics: the Lioy-style subset count plus the node-simple
     maximum cycle length."""
-    adjacency = register_adjacency(circuit)
-    subsets: Set[FrozenSet[str]] = set()
-    capped = False
-    count = 0
-    for cycle in _simple_cycles(adjacency, cap):
-        count += 1
-        if count >= cap:
-            capped = True
-        subsets.add(frozenset(cycle))
+    masks = list(_cycle_masks(register_adjacency(circuit), cap))
     length = max_cycle_length_report(circuit)
     return CycleReport(
-        num_cycles=len(subsets),
+        num_cycles=len(set(masks)),
         max_cycle_length=length.length,
-        count_capped=capped,
+        count_capped=len(masks) >= cap,
         length_exact=length.exact,
     )
 
@@ -127,54 +117,17 @@ def max_cycle_length_report(
     a budget-limited best-found (which matches the original circuit's
     value on retimed circuits, since retiming maps cycles one-to-one —
     Theorem 4)."""
-    circuit.check()
-    fanouts = circuit.fanouts()
-    names = list(circuit.node_names())
-    index = {name: i for i, name in enumerate(names)}
-    dff_bit: Dict[int, int] = {}
-    for position, dff in enumerate(circuit.dffs()):
-        dff_bit[index[dff.name]] = 1 << position
-    num_dffs = len(dff_bit)
-    successors: List[List[int]] = [
-        [index[r] for r in fanouts[name]] for name in names
-    ]
-
-    reachable = [0] * len(names)
-    for node_index, bit in dff_bit.items():
-        reachable[node_index] |= bit
-    changed = True
-    while changed:
-        changed = False
-        for node_index in range(len(names)):
-            acc = reachable[node_index]
-            for successor in successors[node_index]:
-                acc |= reachable[successor]
-            if acc != reachable[node_index]:
-                reachable[node_index] = acc
-                changed = True
-
-    def popcount(value: int) -> int:
-        return bin(value).count("1")
-
-    ordered_successors: List[List[int]] = [
-        sorted(succ, key=lambda s: -popcount(reachable[s]))
-        for succ in successors
-    ]
+    names, _, dff_bit, num_dffs, reachable, successors = _register_reach(
+        circuit
+    )
 
     best = 0
     expansions = 0
     budget_hit = False
     on_path = [False] * len(names)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(names) + 1000))
-
-    # Roots: every DFF in turn; cycles through no DFF have length 0 and
-    # never matter (a combinational cycle would fail circuit.check()).
-    dff_indices = sorted(dff_bit, key=lambda i: names[i])
 
     def dfs(node_index: int, root: int, depth: int, used_mask: int) -> None:
         nonlocal best, expansions, budget_hit
-        if budget_hit:
-            return
         expansions += 1
         if expansions > expansion_limit:
             budget_hit = True
@@ -184,7 +137,8 @@ def max_cycle_length_report(
         remaining = reachable[node_index] & ~used_mask
         if depth + popcount(remaining) <= best:
             return
-        for successor in ordered_successors[node_index]:
+        root_bit = dff_bit[root]
+        for successor in successors[node_index]:
             if successor == root:
                 if depth > best:
                     best = depth
@@ -193,18 +147,25 @@ def max_cycle_length_report(
                 continue
             # Prune branches from which the root register is unreachable:
             # they can never close the cycle.
-            if not (reachable[successor] & dff_bit[root]):
+            if not reachable[successor] & root_bit:
                 continue
-            bit = dff_bit.get(successor, 0)
+            bit = dff_bit[successor]
             on_path[successor] = True
             dfs(
                 successor,
                 root,
-                depth + (1 if bit else 0),
+                depth + 1 if bit else depth,
                 used_mask | bit,
             )
             on_path[successor] = False
+            if budget_hit:
+                return
 
+    # Roots: every DFF in turn; cycles through no DFF have length 0 and
+    # never matter (a combinational cycle would fail circuit.check()).
+    dff_indices = sorted(
+        (i for i, bit in enumerate(dff_bit) if bit), key=lambda i: names[i]
+    )
     for root in dff_indices:
         if budget_hit or best >= num_dffs:
             break
@@ -228,9 +189,8 @@ def count_path_cycles(circuit: Circuit, cap: int = 200_000) -> int:
     raises :class:`AnalysisError` when the cap is hit, because a capped
     count would silently understate the invariant being tested.
     """
-    adjacency = _gate_adjacency(circuit)
     count = 0
-    for _ in _simple_cycles(adjacency, cap):
+    for _ in _cycle_masks(_gate_adjacency(circuit), cap):
         count += 1
         if count >= cap:
             raise AnalysisError(
@@ -272,4 +232,8 @@ def cycle_dff_sets(
 ) -> Set[FrozenSet[str]]:
     """The distinct DFF subsets that form register-view cycles."""
     adjacency = register_adjacency(circuit)
-    return {frozenset(c) for c in _simple_cycles(adjacency, cap)}
+    nodes = sorted(adjacency)
+    return {
+        frozenset(nodes[i] for i in bit_positions(mask))
+        for mask in _cycle_masks(adjacency, cap)
+    }

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Tuple
 
-from ..circuit.netlist import Circuit, NodeKind
-from ..errors import AnalysisError
+from .._util import popcount
+from ..circuit.netlist import Circuit
 
 
 @dataclasses.dataclass
@@ -41,79 +41,86 @@ class DepthReport:
     expansions: int
 
 
-def sequential_depth_report(
-    circuit: Circuit, expansion_limit: int = 500_000
-) -> DepthReport:
-    """Branch-and-bound max-sequential-depth on the node graph."""
+def _register_reach(circuit: Circuit) -> Tuple:
+    """Index the node graph for the branch-and-bound searches.
+
+    Returns ``(names, index, dff_bit, num_dffs, reachable, successors)``
+    over node positions: ``dff_bit[i]`` is node ``i``'s register bit (0
+    for other nodes); ``reachable[i]`` the registers reachable from it
+    along walks, not simple paths — an upper bound on what any simple
+    path can still collect; ``successors[i]`` its fanout with
+    register-rich branches first, so the best path is found early and
+    the bound prunes the rest.
+    """
     circuit.check()
     fanouts = circuit.fanouts()
     names = list(circuit.node_names())
     index = {name: i for i, name in enumerate(names)}
-    dff_bit: Dict[int, int] = {}
-    for position, dff in enumerate(circuit.dffs()):
+    dff_bit = [0] * len(names)
+    dffs = list(circuit.dffs())
+    for position, dff in enumerate(dffs):
         dff_bit[index[dff.name]] = 1 << position
-    num_dffs = len(dff_bit)
-    outputs = {index[po] for po in circuit.outputs}
-    successors: List[List[int]] = [
-        [index[r] for r in fanouts[name]] for name in names
-    ]
+    successors = [[index[r] for r in fanouts[name]] for name in names]
 
-    # Fixpoint: registers reachable (walks, not simple paths) from each
-    # node — an upper bound on what any simple path can still collect.
-    reachable = [0] * len(names)
-    for node_index, bit in dff_bit.items():
-        reachable[node_index] |= bit
+    reachable = list(dff_bit)
     changed = True
     while changed:
         changed = False
-        for node_index in range(len(names)):
+        for node_index, node_successors in enumerate(successors):
             acc = reachable[node_index]
-            for successor in successors[node_index]:
+            for successor in node_successors:
                 acc |= reachable[successor]
             if acc != reachable[node_index]:
                 reachable[node_index] = acc
                 changed = True
 
-    def popcount(value: int) -> int:
-        return bin(value).count("1")
-
-    # Order successors so register-rich branches are explored first: the
-    # best path is found early and the bound prunes the rest.
-    ordered_successors: List[List[int]] = [
+    ordered = [
         sorted(succ, key=lambda s: -popcount(reachable[s]))
         for succ in successors
     ]
+    # Path length is bounded by the node count; make sure Python's
+    # recursion limit is not the binding constraint.
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(names) + 1000))
+    return names, index, dff_bit, len(dffs), reachable, ordered
+
+
+def sequential_depth_report(
+    circuit: Circuit, expansion_limit: int = 500_000
+) -> DepthReport:
+    """Branch-and-bound max-sequential-depth on the node graph."""
+    names, index, dff_bit, num_dffs, reachable, successors = (
+        _register_reach(circuit)
+    )
+    outputs = set(circuit.outputs)
+    is_output = [name in outputs for name in names]
 
     best = 0
     expansions = 0
     budget_hit = False
     on_path = [False] * len(names)
-    # Path length is bounded by the node count; make sure Python's
-    # recursion limit is not the binding constraint.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(names) + 1000))
 
     def dfs(node_index: int, depth: int, used_mask: int) -> None:
         nonlocal best, expansions, budget_hit
-        if budget_hit:
-            return
         expansions += 1
         if expansions > expansion_limit:
             budget_hit = True
             return
-        if node_index in outputs and depth > best:
+        if is_output[node_index] and depth > best:
             best = depth
         if best >= num_dffs:
             return  # nothing can cross more registers than exist
         remaining = reachable[node_index] & ~used_mask
         if depth + popcount(remaining) <= best:
             return
-        for successor in ordered_successors[node_index]:
+        for successor in successors[node_index]:
             if on_path[successor]:
                 continue
-            bit = dff_bit.get(successor, 0)
+            bit = dff_bit[successor]
             on_path[successor] = True
-            dfs(successor, depth + (1 if bit else 0), used_mask | bit)
+            dfs(successor, depth + 1 if bit else depth, used_mask | bit)
             on_path[successor] = False
+            if budget_hit:
+                return
 
     for pi in circuit.inputs:
         if budget_hit or best >= num_dffs:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .._util import NameAllocator
+from .._util import NameAllocator, popcount
 from ..errors import ParseError
 from .gates import GateType, ONE, X, ZERO
 from .netlist import Circuit, NodeKind
@@ -106,7 +106,7 @@ def _names_for_gate(name: str, gate: GateType, fanin: Tuple[str, ...]) -> str:
         want_odd = gate is GateType.XOR
         rows = []
         for minterm in range(1 << n):
-            ones = bin(minterm).count("1")
+            ones = popcount(minterm)
             if (ones % 2 == 1) == want_odd:
                 bits = "".join(str((minterm >> i) & 1) for i in range(n))
                 rows.append(bits + " 1")

@@ -12,14 +12,34 @@ A **cover** is an ordered list of cubes implementing the OR of its
 products.  This is the representation the espresso-style minimizer and
 the synthesis SOP pipeline operate on; it matches the textual PLA/KISS
 convention ``0``, ``1``, ``-`` per input column.
+
+Validation happens at the public constructor only: ``Cube(width, mask,
+value)`` rejects out-of-range and non-canonical masks.  Cubes the
+algebra derives from already-valid cubes (cofactors, expansions,
+intersections, complements) go through the private ``Cube._raw``
+constructor, which skips the check.
+
+The cofactor of a cover by a cube ``c`` is one masked pass: a cube
+survives iff it agrees with ``c`` on their shared literals, and it
+loses every literal ``c`` fixes.  Containment (``c ⊆ F`` iff ``F_c`` is
+a tautology), tautology and complement recurse on bare ``(mask, value)``
+int pairs, with no per-literal loops.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
+from .._util import bit_positions, popcount
 from ..errors import ReproError
+
+# A cube as a bare ``(mask, value)`` pair, used inside the recursions.
+_Pair = Tuple[int, int]
+
+# Frozen-dataclass construction without ``__init__``/``__post_init__``.
+_new = object.__new__
+_set = object.__setattr__
 
 
 class CubeError(ReproError):
@@ -42,6 +62,15 @@ class Cube:
             raise CubeError("value bits outside mask (non-canonical cube)")
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def _raw(cls, width: int, mask: int, value: int) -> "Cube":
+        """Unvalidated constructor for cubes derived from valid ones."""
+        cube = _new(cls)
+        _set(cube, "width", width)
+        _set(cube, "mask", mask)
+        _set(cube, "value", value)
+        return cube
 
     @classmethod
     def from_string(cls, text: str) -> "Cube":
@@ -85,7 +114,7 @@ class Cube:
         return "".join(chars)
 
     def literal_count(self) -> int:
-        return bin(self.mask).count("1")
+        return popcount(self.mask)
 
     def num_minterms(self) -> int:
         return 1 << (self.width - self.literal_count())
@@ -95,6 +124,11 @@ class Cube:
         if not (self.mask >> position) & 1:
             return None
         return (self.value >> position) & 1
+
+    def literals(self) -> List[Tuple[int, int]]:
+        """``(position, polarity)`` of every literal, ascending."""
+        value = self.value
+        return [(p, (value >> p) & 1) for p in bit_positions(self.mask)]
 
     def contains(self, other: "Cube") -> bool:
         """True iff every minterm of ``other`` is a minterm of ``self``."""
@@ -116,18 +150,15 @@ class Cube:
         """The shared sub-cube, or None if disjoint."""
         if not self.intersects(other):
             return None
-        return Cube(
-            width=self.width,
-            mask=self.mask | other.mask,
-            value=self.value | other.value,
+        return Cube._raw(
+            self.width, self.mask | other.mask, self.value | other.value
         )
 
     def distance(self, other: "Cube") -> int:
         """Number of inputs on which the cubes conflict (0 = intersecting)."""
         self._check_width(other)
         common = self.mask & other.mask
-        conflict = (self.value ^ other.value) & common
-        return bin(conflict).count("1")
+        return popcount((self.value ^ other.value) & common)
 
     # -- transformations --------------------------------------------------------
 
@@ -136,15 +167,15 @@ class Cube:
         bit = 1 << position
         if not self.mask & bit:
             raise CubeError(f"input {position} is already free in this cube")
-        return Cube(
-            width=self.width, mask=self.mask & ~bit, value=self.value & ~bit
-        )
+        return Cube._raw(self.width, self.mask & ~bit, self.value & ~bit)
 
     def restrict_position(self, position: int, polarity: int) -> "Cube":
         """Add (or overwrite) a literal at ``position``."""
         bit = 1 << position
+        if bit >> self.width:
+            raise CubeError(f"input {position} exceeds width {self.width}")
         value = (self.value & ~bit) | (bit if polarity else 0)
-        return Cube(width=self.width, mask=self.mask | bit, value=value)
+        return Cube._raw(self.width, self.mask | bit, value)
 
     def cofactor(self, position: int, polarity: int) -> Optional["Cube"]:
         """Shannon cofactor with respect to ``input[position] = polarity``.
@@ -177,6 +208,19 @@ class Cover:
         self.cubes: List[Cube] = []
         for cube in cubes:
             self.add(cube)
+
+    @classmethod
+    def _of(cls, width: int, cubes: List[Cube]) -> "Cover":
+        """Unchecked constructor: ``cubes`` are already ``width`` wide."""
+        cover = cls.__new__(cls)
+        cover.width = width
+        cover.cubes = cubes
+        return cover
+
+    @classmethod
+    def _from_pairs(cls, width: int, pairs: Iterable[_Pair]) -> "Cover":
+        raw = Cube._raw
+        return cls._of(width, [raw(width, m, v) for m, v in pairs])
 
     @classmethod
     def from_strings(cls, width: int, rows: Iterable[str]) -> "Cover":
@@ -215,12 +259,9 @@ class Cover:
     def __bool__(self) -> bool:
         return bool(self.cubes)
 
-    def copy(self) -> "Cover":
-        return Cover(self.width, self.cubes)
-
     def literal_count(self) -> int:
         """Total literals — the classical two-level area estimate."""
-        return sum(c.literal_count() for c in self.cubes)
+        return sum(popcount(c.mask) for c in self.cubes)
 
     def covers_minterm(self, assignment: int) -> bool:
         return any(c.contains_minterm(assignment) for c in self.cubes)
@@ -228,29 +269,13 @@ class Cover:
     def evaluate(self, assignment: int) -> int:
         return 1 if self.covers_minterm(assignment) else 0
 
-    def cofactor(self, position: int, polarity: int) -> "Cover":
-        result = Cover(self.width)
-        for cube in self.cubes:
-            reduced = cube.cofactor(position, polarity)
-            if reduced is not None:
-                result.add(reduced)
-        return result
-
     def cofactor_cube(self, cube: Cube) -> "Cover":
-        """Cofactor by every literal of ``cube`` (the Shannon cofactor
-        F_c used for containment checks: c ⊆ F iff F_c is a tautology)."""
-        result = self
-        for position in range(self.width):
-            polarity = cube.literal(position)
-            if polarity is not None:
-                result = result.cofactor(position, polarity)
-        return result
-
-    def variables_used(self) -> List[int]:
-        used = 0
-        for cube in self.cubes:
-            used |= cube.mask
-        return [i for i in range(self.width) if (used >> i) & 1]
+        """Cofactor by every literal of ``cube`` in one masked pass (the
+        Shannon cofactor F_c used for containment checks: c ⊆ F iff F_c
+        is a tautology).  Surviving cubes keep their order."""
+        return Cover._from_pairs(
+            self.width, _cofactor(self.cubes, cube.mask, cube.value)
+        )
 
     def is_tautology(self) -> bool:
         """Exact tautology check by recursive Shannon splitting.
@@ -260,25 +285,21 @@ class Cover:
         tautology iff it contains the universal cube (standard unate
         reduction theorem).
         """
-        return _tautology(self)
+        return _tautology([(c.mask, c.value) for c in self.cubes])
 
     def contains_cube(self, cube: Cube) -> bool:
         """True iff ``cube`` (all its minterms) is covered by this cover."""
-        return _tautology(self.cofactor_cube(cube))
+        return _tautology(_cofactor(self.cubes, cube.mask, cube.value))
 
     def contains_cover(self, other: "Cover") -> bool:
         return all(self.contains_cube(c) for c in other.cubes)
 
     def single_cube_containment(self) -> "Cover":
         """Drop every cube contained in another single cube (cheap prune)."""
-        kept: List[Cube] = []
-        # Larger cubes first so small ones get absorbed.
-        ordered = sorted(self.cubes, key=lambda c: c.literal_count())
-        for cube in ordered:
-            if any(other.contains(cube) for other in kept):
-                continue
-            kept.append(cube)
-        return Cover(self.width, kept)
+        return Cover._from_pairs(
+            self.width,
+            _single_cube_containment([(c.mask, c.value) for c in self.cubes]),
+        )
 
     def complement(self) -> "Cover":
         """Exact complement by Shannon recursion.
@@ -287,7 +308,9 @@ class Cover:
         don't-care cover during synthesis (the ``extract_seq_dc``
         analog), and by tests as an oracle.
         """
-        return _complement(self)
+        return Cover._from_pairs(
+            self.width, _complement([(c.mask, c.value) for c in self.cubes])
+        )
 
     def to_strings(self) -> List[str]:
         return [c.to_string() for c in self.cubes]
@@ -296,85 +319,89 @@ class Cover:
         return f"Cover(width={self.width}, cubes={len(self.cubes)})"
 
 
-def _most_binate_variable(cover: Cover) -> Optional[int]:
-    """Pick the splitting variable: the one appearing in the most cubes,
-    preferring variables that appear in both polarities."""
-    counts = [[0, 0] for _ in range(cover.width)]
-    for cube in cover.cubes:
-        for position in range(cover.width):
-            polarity = cube.literal(position)
-            if polarity is not None:
-                counts[position][polarity] += 1
-    best = None
+def _cofactor(cubes: Iterable[Cube], mask: int, value: int) -> List[_Pair]:
+    """Cofactor by the cube ``(mask, value)``: drop the cubes that
+    conflict with it on a shared literal, strip its literals from the
+    rest."""
+    keep = ~mask
+    return [
+        (c.mask & keep, c.value & keep)
+        for c in cubes
+        if not (c.value ^ value) & c.mask & mask
+    ]
+
+
+def _split(pairs: List[_Pair], bit: int) -> Tuple[List[_Pair], List[_Pair]]:
+    """The two Shannon cofactors of ``pairs`` on the variable ``bit``."""
+    keep = ~bit
+    low = [(m & keep, v) for m, v in pairs if not v & bit]
+    high = [(m & keep, v & keep) for m, v in pairs if not (m ^ v) & bit]
+    return low, high
+
+
+def _most_binate_variable(pairs: List[_Pair], candidates: int) -> int:
+    """Pick the splitting variable among the ``candidates`` bits, as a
+    one-bit mask: the one with the most cubes in its minority polarity,
+    then the one appearing in the most cubes, then the lowest position."""
+    best = 0
     best_key = None
-    for position, (zeros, ones) in enumerate(counts):
-        total = zeros + ones
-        if total == 0:
-            continue
-        binate = min(zeros, ones)
-        key = (binate, total)
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        total = sum(1 for mask, _ in pairs if mask & bit)
+        ones = sum(1 for _, value in pairs if value & bit)
+        key = (min(total - ones, ones), total)
         if best_key is None or key > best_key:
             best_key = key
-            best = position
+            best = bit
     return best
 
 
-def _complement(cover: Cover) -> Cover:
-    if not cover.cubes:
-        return Cover.universe(cover.width)
-    for cube in cover.cubes:
-        if cube.mask == 0:
-            return Cover.empty(cover.width)
-    if len(cover.cubes) == 1:
+def _single_cube_containment(pairs: List[_Pair]) -> List[_Pair]:
+    kept: List[_Pair] = []
+    # Larger cubes first so small ones get absorbed.
+    for mask, value in sorted(pairs, key=lambda p: popcount(p[0])):
+        if not any(
+            not k_mask & ~mask and value & k_mask == k_value
+            for k_mask, k_value in kept
+        ):
+            kept.append((mask, value))
+    return kept
+
+
+def _complement(pairs: List[_Pair]) -> List[_Pair]:
+    if not pairs:
+        return [(0, 0)]
+    used = 0
+    for mask, _ in pairs:
+        if not mask:
+            return []
+        used |= mask
+    if len(pairs) == 1:
         # De Morgan on a single cube: one complemented literal per cube.
-        cube = cover.cubes[0]
-        result = Cover(cover.width)
-        for position in range(cover.width):
-            polarity = cube.literal(position)
-            if polarity is None:
-                continue
-            result.add(
-                Cube.universal(cover.width).restrict_position(
-                    position, 1 - polarity
-                )
-            )
-        return result
-    position = _most_binate_variable(cover)
-    if position is None:
-        return Cover.empty(cover.width)
-    low = _complement(cover.cofactor(position, 0))
-    high = _complement(cover.cofactor(position, 1))
-    result = Cover(cover.width)
-    for cube in low.cubes:
-        result.add(cube.restrict_position(position, 0))
-    for cube in high.cubes:
-        result.add(cube.restrict_position(position, 1))
-    return result.single_cube_containment()
+        mask, value = pairs[0]
+        return [(1 << p, ~value & (1 << p)) for p in bit_positions(mask)]
+    bit = _most_binate_variable(pairs, used)
+    low, high = _split(pairs, bit)
+    result = [(m | bit, v) for m, v in _complement(low)]
+    result += [(m | bit, v | bit) for m, v in _complement(high)]
+    return _single_cube_containment(result)
 
 
-def _tautology(cover: Cover) -> bool:
-    if not cover.cubes:
+def _tautology(pairs: List[_Pair]) -> bool:
+    if not pairs:
         return False
-    for cube in cover.cubes:
-        if cube.mask == 0:
+    zeros = 0
+    ones = 0
+    for mask, value in pairs:
+        if not mask:
             return True
+        ones |= value
+        zeros |= mask ^ value
     # Unate reduction: in a cover unate in every variable, tautology
     # requires the universal cube, which we just ruled out.
-    position = _most_binate_variable(cover)
-    if position is None:
+    binate = zeros & ones
+    if not binate:
         return False
-    counts_zero = sum(1 for c in cover.cubes if c.literal(position) == 0)
-    counts_one = sum(1 for c in cover.cubes if c.literal(position) == 1)
-    if counts_zero == 0 or counts_one == 0:
-        unate_everywhere = True
-        for var in cover.variables_used():
-            zeros = sum(1 for c in cover.cubes if c.literal(var) == 0)
-            ones = sum(1 for c in cover.cubes if c.literal(var) == 1)
-            if zeros and ones:
-                unate_everywhere = False
-                break
-        if unate_everywhere:
-            return False
-    return _tautology(cover.cofactor(position, 0)) and _tautology(
-        cover.cofactor(position, 1)
-    )
+    low, high = _split(pairs, _most_binate_variable(pairs, binate))
+    return _tautology(low) and _tautology(high)

@@ -32,8 +32,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
+from .._util import bit_positions
 from .bdd import BddManager
-from .cube import Cover, Cube
+from .cube import Cover, Cube, CubeError
 
 # Above this width the BDD oracle takes over containment checks.
 _BDD_ORACLE_WIDTH = 12
@@ -73,9 +74,8 @@ class _Oracle:
         frequency = [0] * width
         if reference is not None:
             for cube in reference.cubes:
-                for position in range(width):
-                    if cube.literal(position) is not None:
-                        frequency[position] += 1
+                for position in bit_positions(cube.mask):
+                    frequency[position] += 1
         order = sorted(range(width), key=lambda p: (-frequency[p], p))
         self._manager = BddManager([f"x{p}" for p in order])
         self._vars = {}
@@ -177,10 +177,9 @@ def _cost(cover: Cover) -> tuple:
 
 
 def _care_union(cover: Cover, dc: Cover) -> Cover:
-    union = cover.copy()
-    for cube in dc:
-        union.add(cube)
-    return union
+    if dc.width != cover.width:
+        raise CubeError(f"dc width {dc.width} != cover width {cover.width}")
+    return Cover._of(cover.width, cover.cubes + dc.cubes)
 
 
 def _expand(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
@@ -203,20 +202,16 @@ def _expand(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
     for cube in pending:
         if any(done.contains(cube) for done in result_cubes):
             continue
+        # One ascending sweep is a fixpoint: containment is monotone, so
+        # a literal that could not be raised stays unraisable once other
+        # literals are raised (the raised cube only grows).
         expanded = cube
-        changed = True
-        while changed:
-            changed = False
-            for position in range(cover.width):
-                if expanded.literal(position) is None:
-                    continue
-                candidate = expanded.expand_position(position)
-                if feasible(candidate):
-                    expanded = candidate
-                    changed = True
+        for position in bit_positions(cube.mask):
+            candidate = expanded.expand_position(position)
+            if feasible(candidate):
+                expanded = candidate
         result_cubes.append(expanded)
-    result = Cover(cover.width, result_cubes)
-    return result.single_cube_containment()
+    return Cover._of(cover.width, result_cubes).single_cube_containment()
 
 
 def _irredundant(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
@@ -256,17 +251,16 @@ def _irredundant(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
                     kept = kept[:i] + kept[i + 1 :]
                     changed = True
                     break
-        return Cover(cover.width, kept)
+        return Cover._of(cover.width, kept)
 
     kept = list(cubes)
     for cube in cubes:
         if len(kept) == 1:
             break
-        others = Cover(cover.width, [c for c in kept if c is not cube])
-        with_dc = _care_union(others, dc)
-        if with_dc.contains_cube(cube):
-            kept = [c for c in kept if c is not cube]
-    return Cover(cover.width, kept)
+        others = [c for c in kept if c is not cube]
+        if Cover._of(cover.width, others + dc.cubes).contains_cube(cube):
+            kept = others
+    return Cover._of(cover.width, kept)
 
 
 def _reduce(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
@@ -288,6 +282,7 @@ def _reduce(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
             suffix[i] = oracle.or_(suffix[i + 1], bdds[i])
         reduced_prefix_bdd = oracle._manager.FALSE
 
+    full = (1 << cover.width) - 1
     reduced: List[Cube] = []
     for index, cube in enumerate(cover.cubes):
         if oracle is not None:
@@ -299,11 +294,9 @@ def _reduce(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
                 return oracle.cube_inside(part, rest_bdd)
 
         else:
-            others = Cover(
-                cover.width,
-                reduced + list(cover.cubes[index + 1 :]),
+            with_dc = Cover._of(
+                cover.width, reduced + cover.cubes[index + 1 :] + dc.cubes
             )
-            with_dc = _care_union(others, dc)
 
             def covered(part: Cube) -> bool:
                 return with_dc.contains_cube(part)
@@ -312,9 +305,7 @@ def _reduce(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
         changed = True
         while changed:
             changed = False
-            for position in range(cover.width):
-                if shrunk.literal(position) is not None:
-                    continue
+            for position in bit_positions(full & ~shrunk.mask):
                 for polarity in (0, 1):
                     candidate = shrunk.restrict_position(position, polarity)
                     removed_part = shrunk.restrict_position(
@@ -333,7 +324,7 @@ def _reduce(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
             reduced_prefix_bdd = oracle.or_(
                 reduced_prefix_bdd, oracle.cube_bdd(shrunk)
             )
-    return Cover(cover.width, reduced)
+    return Cover._of(cover.width, reduced)
 
 
 def verify_minimization(

@@ -137,9 +137,7 @@ def sop_to_network(
     product_nodes: List[str] = []
     for cube in cover.cubes:
         operand_names = [
-            literals.literal(pos, cube.literal(pos))
-            for pos in range(cover.width)
-            if cube.literal(pos) is not None
+            literals.literal(pos, pol) for pos, pol in cube.literals()
         ]
         product_nodes.append(
             build_gate_tree(builder, GateType.AND, operand_names, style)
@@ -204,12 +202,7 @@ def extract_common_cubes(
         pair_counts: Dict[Tuple[Tuple[int, int], Tuple[int, int]], int] = {}
         for cubes in work:
             for cube in cubes:
-                lits = [
-                    (pos, cube.literal(pos))
-                    for pos in range(width)
-                    if cube.literal(pos) is not None
-                ]
-                for a, b in itertools.combinations(lits, 2):
+                for a, b in itertools.combinations(cube.literals(), 2):
                     pair_counts[(a, b)] = pair_counts.get((a, b), 0) + 1
         if not pair_counts:
             break

@@ -118,3 +118,148 @@ class TestCover:
             if b.covers_minterm(m)
         )
         assert a.contains_cover(b) == expected
+
+
+def sequential_cofactor(cover, cube):
+    """Reference: Shannon-cofactor one literal at a time, cube by cube."""
+    cubes = list(cover.cubes)
+    for position in range(cover.width):
+        polarity = cube.literal(position)
+        if polarity is None:
+            continue
+        reduced = (c.cofactor(position, polarity) for c in cubes)
+        cubes = [c for c in reduced if c is not None]
+    return cubes
+
+
+def reference_split_position(cubes, width):
+    """Reference: most cubes in the minority polarity, then most cubes,
+    then the lowest position."""
+    best = None
+    best_key = None
+    for position in range(width):
+        polarities = [c.literal(position) for c in cubes]
+        zeros = polarities.count(0)
+        ones = polarities.count(1)
+        if zeros + ones == 0:
+            continue
+        key = (min(zeros, ones), zeros + ones)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = position
+    return best
+
+
+def reference_complement(cubes, width):
+    """Reference: the literal-by-literal Shannon complement, with the
+    same output order as the mask-level one."""
+    if not cubes:
+        return [Cube.universal(width)]
+    if any(c.mask == 0 for c in cubes):
+        return []
+    if len(cubes) == 1:
+        return [
+            Cube.universal(width).restrict_position(position, 1 - polarity)
+            for position in range(width)
+            for polarity in [cubes[0].literal(position)]
+            if polarity is not None
+        ]
+    position = reference_split_position(cubes, width)
+    result = []
+    for polarity in (0, 1):
+        reduced = (c.cofactor(position, polarity) for c in cubes)
+        part = reference_complement(
+            [c for c in reduced if c is not None], width
+        )
+        result += [c.restrict_position(position, polarity) for c in part]
+    kept = []
+    for cube in sorted(result, key=lambda c: c.literal_count()):
+        if not any(other.contains(cube) for other in kept):
+            kept.append(cube)
+    return kept
+
+
+class TestRawAlgebra:
+    """The mask-level fast paths against literal-by-literal references."""
+
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda width: st.tuples(
+                st.lists(cube_strings(width), max_size=10),
+                cube_strings(width),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_cofactor_matches_sequential(self, case):
+        rows, by = case
+        cover = Cover.from_strings(len(by), rows)
+        cube = Cube.from_string(by)
+        assert cover.cofactor_cube(cube).cubes == sequential_cofactor(
+            cover, cube
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda width: st.lists(cube_strings(width), max_size=12).map(
+                lambda rows: (width, rows)
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tautology_matches_minterm_enumeration(self, case):
+        width, rows = case
+        cover = Cover.from_strings(width, rows)
+        assert cover.is_tautology() == all(cover_truth(cover, width))
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda width: st.lists(cube_strings(width), max_size=8).map(
+                lambda rows: (width, rows)
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_complement_order_matches_reference(self, case):
+        """Same cubes in the same order: the splitting variable and its
+        tie-break feed the don't-care covers synthesis minimizes
+        against."""
+        width, rows = case
+        cover = Cover.from_strings(width, rows)
+        assert cover.complement().cubes == reference_complement(
+            cover.cubes, width
+        )
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_tautology_of_all_minterms(self, width):
+        full = Cover(
+            width, [Cube.minterm(width, a) for a in range(1 << width)]
+        )
+        assert full.is_tautology()
+        full.cubes.pop()
+        assert not full.is_tautology()
+
+    @given(
+        st.lists(cube_strings(6), min_size=1, max_size=8),
+        st.lists(cube_strings(6), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_minimized_cubes_revalidate(self, on_rows, dc_rows):
+        from repro.logic.espresso import minimize
+
+        on = Cover.from_strings(6, on_rows)
+        dc = Cover.from_strings(6, dc_rows)
+        for cube in minimize(on, dc).cover:
+            assert Cube(cube.width, cube.mask, cube.value) == cube
+
+    def test_literals_ascending(self):
+        assert Cube.from_string("1-0-1").literals() == [
+            (0, 1),
+            (2, 0),
+            (4, 1),
+        ]
+        assert Cube.universal(3).literals() == []
+
+    def test_restrict_rejects_out_of_range(self):
+        with pytest.raises(CubeError):
+            Cube.universal(2).restrict_position(2, 1)
