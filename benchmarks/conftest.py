@@ -22,6 +22,8 @@ import sys
 import pytest
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
+# The package, and the repo root for reference models kept in tests/.
+sys.path.insert(0, os.path.dirname(BENCH_DIR))
 sys.path.insert(0, os.path.join(os.path.dirname(BENCH_DIR), "src"))
 
 

@@ -1,17 +1,23 @@
-"""Microbenchmarks: interpreted vs compiled word-op simulation kernels.
+"""Microbenchmarks: interpreted vs compiled simulation kernels.
 
 Unlike the bench_* table regenerations these are true microbenchmarks —
 the same fault-simulation workload is timed on both simulation backends
-for a few Table-2 circuits, so the kernel speedup is visible in
-isolation from engine search.  Results persist into
+for a few Table-2 circuits, and the same five-valued time-frame
+evaluation on the interpreted ``eval_gate5`` loop and the compiled
+kernel, so each kernel speedup is visible in isolation from engine
+search.  Results persist into
 ``benchmarks/baselines/pytest-bench.json`` (advisory, never gates).
 """
 
 import pytest
 
 from repro._util import make_rng
-from repro.fault import FaultSimulator
-from repro.harness.suite import synthesize_named
+from repro.atpg import UnrolledModel, Variable
+from repro.circuit import ZERO
+from repro.fault import Fault, FaultSimulator
+from repro.harness.suite import build_pair, synthesize_named
+
+from tests.atpg.test_frames import reference_frames
 
 # A small spread of Table-2 circuits: the smallest, a mid-size FSM and
 # one of the larger s-series synthesis results.
@@ -48,3 +54,74 @@ def test_fault_sim_kernels(benchmark, name, backend):
     )
     assert report.detected == reference.detected
     assert report.undetected == reference.undetected
+
+
+# -- five-valued time-frame evaluation (PODEM's implication step) ----------
+
+FRAME_BACKENDS = ("reference", "compiled")
+
+
+def _assignment_stream(model, seed=41, steps=200):
+    """A fixed random walk of window sizes and PI/state assignments, as
+    ``(num_frames, pi_assignment, state_assignment)`` snapshots."""
+    rng = make_rng(seed)
+    snapshots = []
+    for _ in range(steps):
+        op = rng.randrange(4)
+        if op == 0:
+            model.set_frames(rng.randint(1, model.max_frames))
+        elif op == 1:
+            frame = rng.randrange(model.num_frames)
+            position = rng.randrange(model.num_pis)
+            model.assign(Variable("pi", frame, position), rng.randrange(2))
+        elif op == 2:
+            position = rng.randrange(model.num_dffs)
+            model.assign(Variable("state", 0, position), rng.randrange(2))
+        elif model.pi_assignment:
+            frame, position = rng.choice(sorted(model.pi_assignment))
+            model.unassign(Variable("pi", frame, position))
+        snapshots.append(
+            (
+                model.num_frames,
+                dict(model.pi_assignment),
+                dict(model.state_assignment),
+            )
+        )
+    return snapshots
+
+
+def _evaluate_stream(backend, model, snapshots):
+    frames = []
+    for num_frames, pi_assignment, state_assignment in snapshots:
+        if backend == "reference":
+            frames.append(
+                reference_frames(
+                    model.circuit,
+                    model.fault,
+                    num_frames,
+                    pi_assignment,
+                    state_assignment,
+                )
+            )
+            continue
+        model.set_frames(num_frames)
+        model.pi_assignment = dict(pi_assignment)
+        model.state_assignment = dict(state_assignment)
+        frames.append(model.simulate())
+    return frames
+
+
+@pytest.mark.parametrize("backend", FRAME_BACKENDS)
+def test_five_valued_frames(benchmark, backend):
+    circuit = build_pair("dk16.ji.sd").retimed_circuit
+    gate = min(node.name for node in circuit.gates())
+    model = UnrolledModel(circuit, Fault(gate, ZERO), max_frames=4)
+    snapshots = _assignment_stream(model)
+    frames = benchmark.pedantic(
+        _evaluate_stream,
+        args=(backend, model, snapshots),
+        rounds=3,
+        iterations=1,
+    )
+    other = FRAME_BACKENDS[1 - FRAME_BACKENDS.index(backend)]
+    assert frames == _evaluate_stream(other, model, snapshots)

@@ -5,23 +5,51 @@ unrolled into identical combinational frames, frame ``f``'s register
 outputs fed by frame ``f-1``'s register D-inputs.  The single stuck-at
 fault is present in *every* frame (a permanent defect).
 
-:class:`UnrolledModel` keeps one compiled copy of the circuit and
-re-evaluates the window in five-valued D-calculus on demand.  Decision
-variables are the primary inputs of every frame and the frame-0 state
-(the machine state the ATPG will later have to justify); everything
-else is derived by simulation.
+:class:`UnrolledModel` re-evaluates the window in five-valued
+D-calculus on demand.  Decision variables are the primary inputs of
+every frame and the frame-0 state (the machine state the ATPG will
+later have to justify); everything else is derived by simulation.
+
+Evaluation runs one generated straight-line kernel per circuit,
+compiled from the shared :mod:`repro.sim.compile` plan and cached on
+its :class:`~repro.sim.compile.CompiledProgram`, so every model of a
+circuit shares it:
+
+* **Encoding.**  Each node holds a 4-bit code of two rail pairs:
+  good-circuit 0/1 (bits 1, 2) and faulty-circuit 0/1 (bits 4, 8).
+  ZERO=5, ONE=10, X=0, D=6, DBAR=9.  AND/NAND compute
+  ``((a|b|...)&5) | (a&b&...&10)``, OR/NOR the dual, XOR/XNOR reduce
+  pairwise through a 16x16 table exact per rail.
+* **Per-slot output tables.**  Every gate line is ``V[o] = T[o][expr]``
+  with a 16-entry table per slot.  The table collapses codes that mix a
+  known with an unknown rail pair (good=1, faulty=X, ...) to X — at
+  *every* gate output, exactly as :func:`~repro.circuit.gates.five_join`
+  does — and inverts for inverting gates.  The stuck-at fault replaces
+  only its site's table (good rails pass, faulty rails forced), so a
+  new fault never recompiles; a PI or DFF-output site applies its
+  table when the source is loaded.
+
+:meth:`UnrolledModel.simulate` decodes the codes back to the
+five-valued literals of :mod:`repro.circuit.gates`, whose
+:func:`~repro.circuit.gates.eval_gate5` stays the definitional oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..circuit.gates import D, DBAR, ONE, X, ZERO, eval_gate5, five_join, five_split
-from ..circuit.graph import topological_order
-from ..circuit.netlist import Circuit, NodeKind
+from ..circuit.gates import ONE, X, ZERO, GateType
+from ..circuit.netlist import Circuit
 from ..errors import AtpgError
 from ..fault.model import Fault
+from ..sim.compile import (
+    FIVE_CODE,
+    FIVE_DECODE,
+    WordOp,
+    compiled_program_cached,
+    five_stuck_table,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,7 +64,8 @@ class Variable:
 class UnrolledModel:
     """Five-valued multi-frame evaluation engine for one fault.
 
-    All value arrays are indexed by the compiled topological order; use
+    All value arrays are indexed by the compiled topological order (the
+    circuit's :class:`~repro.sim.compile.CompiledProgram` slots); use
     :meth:`index_of` to translate node names.
     """
 
@@ -46,38 +75,49 @@ class UnrolledModel:
         fault: Optional[Fault],
         max_frames: int,
     ):
-        circuit.check()
+        program = compiled_program_cached(circuit)
         self.circuit = circuit
         self.fault = fault
         self.max_frames = max_frames
-        self._order = topological_order(circuit)
-        self._index: Dict[str, int] = {
-            name: i for i, name in enumerate(self._order)
-        }
-        self._pi_index = [self._index[n] for n in circuit.inputs]
-        self._po_index = [self._index[n] for n in circuit.outputs]
-        self._dff_names = circuit.dff_names()
-        self._dff_out = [self._index[n] for n in self._dff_names]
-        self._dff_d = [
-            self._index[circuit.node(n).fanin[0]] for n in self._dff_names
-        ]
-        self._plan: List[Tuple[int, object, List[int]]] = []
-        for name in self._order:
-            node = circuit.node(name)
-            if node.kind is NodeKind.GATE:
-                self._plan.append(
-                    (
-                        self._index[name],
-                        node.gate,
-                        [self._index[f] for f in node.fanin],
-                    )
-                )
-        if fault is not None and fault.node not in self._index:
+        self._program = program
+        if fault is not None and fault.node not in program.index:
             raise AtpgError(f"fault site {fault.node!r} not in circuit")
-        self._fault_index = (
-            self._index[fault.node] if fault is not None else -1
+
+        # Slot-indexed structure for the search: source positions,
+        # fanin in netlist order, fanout in netlist reader order.
+        # Fanin is per frame: a register's D input belongs to the
+        # previous frame, so sources have none.
+        self.pi_position: Dict[int, int] = {
+            slot: position for position, slot in enumerate(program.input_slots)
+        }
+        self.dff_position: Dict[int, int] = {
+            slot: position
+            for position, slot in enumerate(program.dff_out_slots)
+        }
+        self.po_slots: FrozenSet[int] = frozenset(program.output_slots)
+        fanin: List[Tuple[int, ...]] = [()] * program.num_slots
+        for _, out_slot, in_slots in program.plan:
+            fanin[out_slot] = in_slots
+        self._fanin: Tuple[Tuple[int, ...], ...] = tuple(fanin)
+        fanouts = circuit.fanouts()
+        self.fanout_slots: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(program.index[reader] for reader in fanouts[name])
+            for name in program.order
         )
-        self._fault_value = fault.stuck_at if fault is not None else ZERO
+        self._gates = tuple(circuit.node(name).gate for name in program.order)
+
+        # The kernel's output tables: the circuit's shared fault-free
+        # tables, with the fault site's table swapped for a stuck one.
+        self._tables: Sequence[Tuple[int, ...]] = program.five_valued_tables
+        self._source_fault_slot = -1
+        if fault is not None:
+            slot = program.index[fault.node]
+            self._tables = list(self._tables)
+            self._tables[slot] = five_stuck_table(
+                self._tables[slot], fault.stuck_at
+            )
+            if slot in program.source_slots:
+                self._source_fault_slot = slot
 
         # Decision-variable assignments (ternary 0/1; absent = X).
         self.pi_assignment: Dict[Tuple[int, int], int] = {}
@@ -87,72 +127,69 @@ class UnrolledModel:
         # Static observability distances for objective heuristics:
         # gate-count distance to the nearest PO, and to the nearest
         # register D-input (a path into the next frame).
-        self.dist_po = self._reverse_distance(set(circuit.outputs))
-        self.dist_dff = self._reverse_distance(
-            {circuit.node(n).fanin[0] for n in self._dff_names}
-        )
+        self.dist_po = self._reverse_distance(self.po_slots)
+        self.dist_dff = self._reverse_distance(frozenset(program.dff_d_slots))
 
     # -- compiled lookups -------------------------------------------------
 
     @property
     def num_pis(self) -> int:
-        return len(self._pi_index)
+        return len(self._program.input_slots)
 
     @property
     def num_dffs(self) -> int:
-        return len(self._dff_out)
+        return len(self._program.dff_out_slots)
 
     @property
     def num_pos(self) -> int:
-        return len(self._po_index)
+        return len(self._program.output_slots)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._order)
+        return self._program.num_slots
+
+    @property
+    def plan(self) -> Tuple[WordOp, ...]:
+        """The circuit's ``(opcode, out_slot, in_slots)`` gate plan."""
+        return self._program.plan
 
     def index_of(self, name: str) -> int:
-        return self._index[name]
+        return self._program.index[name]
 
     def name_of(self, index: int) -> str:
-        return self._order[index]
+        return self._program.order[index]
 
     def pi_indices(self) -> Sequence[int]:
-        return self._pi_index
+        return self._program.input_slots
 
     def po_indices(self) -> Sequence[int]:
-        return self._po_index
+        return self._program.output_slots
 
     def dff_out_indices(self) -> Sequence[int]:
-        return self._dff_out
+        return self._program.dff_out_slots
 
     def dff_d_indices(self) -> Sequence[int]:
-        return self._dff_d
+        return self._program.dff_d_slots
 
-    def node_fanin(self, index: int) -> List[int]:
-        node = self.circuit.node(self._order[index])
-        return [self._index[f] for f in node.fanin]
+    def node_fanin(self, index: int) -> Tuple[int, ...]:
+        return self._fanin[index]
 
-    def node_gate(self, index: int):
-        return self.circuit.node(self._order[index]).gate
+    def node_gate(self, index: int) -> Optional[GateType]:
+        return self._gates[index]
 
-    def _reverse_distance(self, targets: Set[str]) -> List[int]:
+    def _reverse_distance(self, targets: FrozenSet[int]) -> List[int]:
         """Min gate-count distance from each node to any target node."""
         INF = 10 ** 9
-        dist = [INF] * len(self._order)
+        dist = [INF] * self.num_nodes
         worklist = []
-        for name in targets:
-            if name in self._index:
-                dist[self._index[name]] = 0
-                worklist.append(self._index[name])
+        for index in targets:
+            dist[index] = 0
+            worklist.append(index)
         # Breadth-first over the reversed combinational graph.
         while worklist:
             next_list = []
             for index in worklist:
-                node = self.circuit.node(self._order[index])
-                if node.kind is NodeKind.DFF:
-                    continue  # distances are per-frame (combinational)
-                for fanin_name in node.fanin:
-                    fanin_index = self._index[fanin_name]
+                for fanin_index in self._fanin[index]:
                     if dist[fanin_index] > dist[index] + 1:
                         dist[fanin_index] = dist[index] + 1
                         next_list.append(fanin_index)
@@ -189,43 +226,28 @@ class UnrolledModel:
     def simulate(self) -> List[List[int]]:
         """Evaluate all ``num_frames`` frames; returns five-valued value
         arrays (``values[frame][node_index]``)."""
+        program = self._program
+        kernel = program.five_valued_kernel
+        tables = self._tables
+        fault_slot = self._source_fault_slot
+        pi_assignment = self.pi_assignment
+        decode = FIVE_DECODE.__getitem__
+        codes = [0] * program.num_slots
+        for position, slot in enumerate(program.dff_out_slots):
+            codes[slot] = FIVE_CODE[self.state_assignment.get(position, X)]
         frames: List[List[int]] = []
-        previous_d: Optional[List[int]] = None
         for frame in range(self.num_frames):
-            values = [X] * len(self._order)
-            for position, index in enumerate(self._pi_index):
-                assigned = self.pi_assignment.get((frame, position))
-                values[index] = X if assigned is None else assigned
-            if frame == 0:
-                for position, index in enumerate(self._dff_out):
-                    assigned = self.state_assignment.get(position)
-                    values[index] = X if assigned is None else assigned
-            else:
-                for position, index in enumerate(self._dff_out):
-                    values[index] = previous_d[position]
-            if self._fault_index >= 0:
-                self._apply_fault_at_source(values)
-            for out_index, gate, fanin_index in self._plan:
-                value = eval_gate5(
-                    gate, [values[i] for i in fanin_index]
-                )
-                if out_index == self._fault_index:
-                    good, _ = five_split(value)
-                    value = five_join(good, self._fault_value)
-                values[out_index] = value
-            frames.append(values)
-            previous_d = [values[i] for i in self._dff_d]
+            if frame:
+                previous_d = [codes[slot] for slot in program.dff_d_slots]
+                for slot, code in zip(program.dff_out_slots, previous_d):
+                    codes[slot] = code
+            for position, slot in enumerate(program.input_slots):
+                codes[slot] = FIVE_CODE[pi_assignment.get((frame, position), X)]
+            if fault_slot >= 0:
+                codes[fault_slot] = tables[fault_slot][codes[fault_slot]]
+            kernel(codes, tables)
+            frames.append(list(map(decode, codes)))
         return frames
-
-    def _apply_fault_at_source(self, values: List[int]) -> None:
-        """Inject the fault when its site is a PI or DFF output."""
-        index = self._fault_index
-        name = self._order[index]
-        node = self.circuit.node(name)
-        if node.kind is NodeKind.GATE:
-            return  # handled during plan evaluation
-        good, _ = five_split(values[index])
-        values[index] = five_join(good, self._fault_value)
 
     # -- window control ------------------------------------------------------
 

@@ -28,7 +28,6 @@ from ..circuit.gates import (
     ZERO,
     five_split,
 )
-from ..circuit.netlist import NodeKind
 from ..errors import AtpgError
 from ..obs.coverage import ABORT_BACKTRACK_LIMIT, ABORT_TIME_BUDGET
 from .frames import UnrolledModel, Variable
@@ -228,27 +227,23 @@ class _PodemBase:
             guard += 1
             if guard > 10000:
                 raise AtpgError("backtrace failed to terminate")
-            name = model.name_of(index)
-            node = model.circuit.node(name)
-            if node.kind is NodeKind.INPUT:
-                position = model.circuit.inputs.index(name)
+            position = model.pi_position.get(index)
+            if position is not None:
                 variable = Variable("pi", frame, position)
                 if model.value_of(variable) is not None:
                     return None, 0
                 return variable, value
-            if node.kind is NodeKind.DFF:
+            position = model.dff_position.get(index)
+            if position is not None:
                 if frame == 0:
-                    position = list(model.circuit.dff_names()).index(name)
                     variable = Variable("state", 0, position)
                     if model.value_of(variable) is not None:
                         return None, 0
                     return variable, value
                 frame -= 1
-                index = model.dff_d_indices()[
-                    list(model.circuit.dff_names()).index(name)
-                ]
+                index = model.dff_d_indices()[position]
                 continue
-            gate = node.gate
+            gate = model.node_gate(index)
             if gate in (GateType.CONST0, GateType.CONST1):
                 return None, 0
             fanin = model.node_fanin(index)
@@ -381,7 +376,7 @@ class FaultPodem(_PodemBase):
         frontier: List[Tuple[int, int]] = []
         scores: Dict[Tuple[int, int], Tuple] = {}
         for frame, values in enumerate(frames):
-            for out_index, gate, fanin_index in model._plan:
+            for _, out_index, fanin_index in model.plan:
                 if values[out_index] != X:
                     continue
                 if not any(values[i] in (D, DBAR) for i in fanin_index):
@@ -402,7 +397,7 @@ class FaultPodem(_PodemBase):
         the maximum window (frames beyond the current window count as
         fully X)?"""
         model = self.model
-        po_set = set(model.po_indices())
+        po_set = model.po_slots
         # Seed: nodes carrying D in any simulated frame.
         reached: Set[Tuple[int, int]] = set()
         worklist: List[Tuple[int, int]] = []
@@ -413,18 +408,11 @@ class FaultPodem(_PodemBase):
                         return True
                     reached.add((frame, index))
                     worklist.append((frame, index))
-        fanouts = model.circuit.fanouts()
-        dff_positions = {
-            name: pos
-            for pos, name in enumerate(model.circuit.dff_names())
-        }
+        fanout_slots = model.fanout_slots
         while worklist:
             frame, index = worklist.pop()
-            name = model.name_of(index)
-            for reader in fanouts[name]:
-                reader_node = model.circuit.node(reader)
-                reader_index = model.index_of(reader)
-                if reader_node.kind is NodeKind.DFF:
+            for reader_index in fanout_slots[index]:
+                if reader_index in model.dff_position:
                     next_frame = frame + 1
                     if next_frame >= model.max_frames:
                         continue
@@ -433,7 +421,7 @@ class FaultPodem(_PodemBase):
                         continue
                     reached.add(key)
                     worklist.append(key)
-                    if reader in dff_positions and reader_index in po_set:
+                    if reader_index in po_set:
                         return True
                     continue
                 if frame < len(frames):

@@ -30,6 +30,11 @@ generated Python kernels:
   the two byte-identical on random circuits, patterns and override
   maps.
 
+A four-rail five-valued path (:meth:`CompiledProgram.five_valued_kernel`)
+lowers the same plan into the D-calculus kernel of the ATPG time-frame
+model (:mod:`repro.atpg.frames`): one code per node, one 16-entry
+output table per slot, compiled lazily once per circuit.
+
 A two-bit interleaved encoding path (:class:`TernaryWordProgram`)
 carries ternary 0/1/X logic through the same compilation scheme: each
 signal owns two adjacent word slots (a "could be 0" rail and a "could
@@ -40,10 +45,11 @@ simulation without a third value system.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.gates import ONE, X, ZERO, GateType
+from ..circuit.gates import D, DBAR, ONE, X, ZERO, GateType, ternary_xor
 from ..circuit.graph import topological_order
 from ..circuit.netlist import Circuit, NodeKind
 from ..errors import SimulationError
@@ -146,6 +152,100 @@ def compile_plan(circuit: Circuit) -> Tuple[WordOp, ...]:
     return tuple(plan)
 
 
+# --------------------------------------------------------------------------
+# Four-rail five-valued encoding (the D-calculus of the time-frame model).
+# --------------------------------------------------------------------------
+
+#: Rail bits of a five-valued code: good-circuit 0 and 1, faulty-circuit
+#: 0 and 1.  A rail pair with neither bit set is unknown.
+GOOD0, GOOD1, FAULTY0, FAULTY1 = 1, 2, 4, 8
+
+_LITERAL_CODE = {
+    ZERO: GOOD0 | FAULTY0,  # 5
+    ONE: GOOD1 | FAULTY1,  # 10
+    X: 0,
+    D: GOOD1 | FAULTY0,  # 6
+    DBAR: GOOD0 | FAULTY1,  # 9
+}
+_CODE_LITERAL = {code: value for value, code in _LITERAL_CODE.items()}
+
+#: Code of each five-valued literal, indexed by the literal.
+FIVE_CODE: Tuple[int, ...] = tuple(
+    _LITERAL_CODE[value] for value in range(len(_LITERAL_CODE))
+)
+#: Literal of each of the 16 codes; codes that mix a known with an
+#: unknown rail pair decode to X.
+FIVE_DECODE: Tuple[int, ...] = tuple(
+    _CODE_LITERAL.get(code, X) for code in range(16)
+)
+#: The collapse of every code to a literal's code (mixed pairs to X),
+#: which :func:`repro.circuit.gates.five_join` applies at every gate
+#: output.
+FIVE_COLLAPSE: Tuple[int, ...] = tuple(
+    _LITERAL_CODE[FIVE_DECODE[code]] for code in range(16)
+)
+#: Collapse then inversion (swap each circuit's 0 and 1 rails).
+FIVE_COLLAPSE_INVERT: Tuple[int, ...] = tuple(
+    (code & (GOOD0 | FAULTY0)) << 1 | (code >> 1) & (GOOD0 | FAULTY0)
+    for code in FIVE_COLLAPSE
+)
+
+_RAIL_PAIR = {ZERO: 1, ONE: 2, X: 0}
+
+
+def _rail_value(code: int, shift: int) -> int:
+    """The ternary value of one circuit's rail pair (X unless exactly
+    one rail is set)."""
+    return {1: ZERO, 2: ONE}.get((code >> shift) & 3, X)
+
+
+#: Two-input XOR of codes, exact per rail (no collapse), so multi-input
+#: XOR reduces pairwise: ``FIVE_XOR[FIVE_XOR[a][b]][c]``.
+FIVE_XOR: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(
+        _RAIL_PAIR[ternary_xor([_rail_value(a, 0), _rail_value(b, 0)])]
+        | _RAIL_PAIR[ternary_xor([_rail_value(a, 2), _rail_value(b, 2)])] << 2
+        for b in range(16)
+    )
+    for a in range(16)
+)
+
+_INVERTING_OPCODES = frozenset((OP_NOT, OP_NAND, OP_NOR, OP_XNOR))
+
+
+def five_stuck_table(table: Tuple[int, ...], stuck_at: int) -> Tuple[int, ...]:
+    """``table`` followed by a stuck-at override: the good rails pass,
+    the faulty rails are forced to ``stuck_at``, mixed pairs collapse."""
+    forced = FAULTY0 if stuck_at == ZERO else FAULTY1
+    return tuple(
+        FIVE_COLLAPSE[table[code] & (GOOD0 | GOOD1) | forced]
+        for code in range(16)
+    )
+
+
+def _five_valued_expr(opcode: int, in_slots: Tuple[int, ...]) -> str:
+    """The raw (uncollapsed) code expression for one gate; the slot's
+    output table collapses and inverts it."""
+    refs = [f"V[{slot}]" for slot in in_slots]
+    if opcode == OP_CONST0:
+        return str(FIVE_CODE[ZERO])
+    if opcode == OP_CONST1:
+        return str(FIVE_CODE[ONE])
+    if opcode in (OP_BUF, OP_NOT):
+        return refs[0]
+    if opcode in (OP_AND, OP_NAND):
+        # 0 rails: any input's; 1 rails: every input's.
+        return f"({' | '.join(refs)}) & 5 | {' & '.join(refs)} & 10"
+    if opcode in (OP_OR, OP_NOR):
+        return f"({' | '.join(refs)}) & 10 | {' & '.join(refs)} & 5"
+    if opcode in (OP_XOR, OP_XNOR):
+        expr = refs[0]
+        for ref in refs[1:]:
+            expr = f"X2[{expr}][{ref}]"
+        return expr
+    raise SimulationError(f"unknown opcode {opcode}")
+
+
 class CompiledProgram:
     """One circuit compiled to a word-op plan plus generated kernels.
 
@@ -236,6 +336,48 @@ class CompiledProgram:
         )
         name = "_wordop_masked_kernel" if masked else "_wordop_kernel"
         return namespace[name]
+
+    # -- five-valued kernel ------------------------------------------------
+
+    def render_five_valued_source(self) -> str:
+        """The generated five-valued kernel source: one
+        ``V[o] = T[o][expr]`` line per gate over four-rail codes."""
+        lines = ["def _five_valued_kernel(V, T):"]
+        for opcode, out_slot, in_slots in self.plan:
+            expr = _five_valued_expr(opcode, in_slots)
+            lines.append(f"    V[{out_slot}] = T[{out_slot}][{expr}]")
+        if len(lines) == 1:
+            lines.append("    pass")
+        return "\n".join(lines) + "\n"
+
+    @functools.cached_property
+    def five_valued_kernel(self) -> Callable:
+        """One frame of five-valued evaluation, ``kernel(V, T)``: ``V``
+        holds a code per slot with the sources loaded, ``T`` a 16-entry
+        output table per slot (:attr:`five_valued_tables`, with a fault
+        site's table swapped).  Compiled on first use, so circuits that
+        never meet PODEM never pay for it."""
+        namespace: Dict[str, object] = {"X2": FIVE_XOR}
+        exec(  # noqa: S102 - source generated from the plan above
+            compile(
+                self.render_five_valued_source(),
+                f"<five-valued:{self.circuit.name}>",
+                "exec",
+            ),
+            namespace,
+        )
+        return namespace["_five_valued_kernel"]
+
+    @functools.cached_property
+    def five_valued_tables(self) -> Tuple[Tuple[int, ...], ...]:
+        """The fault-free output table of every slot: collapse, plus
+        inversion for inverting gates.  Source slots carry the plain
+        collapse, which only a stuck-at override there ever reads."""
+        tables = [FIVE_COLLAPSE] * self.num_slots
+        for opcode, out_slot, _ in self.plan:
+            if opcode in _INVERTING_OPCODES:
+                tables[out_slot] = FIVE_COLLAPSE_INVERT
+        return tuple(tables)
 
     def override_arrays(
         self,

@@ -1,12 +1,18 @@
-"""Golden values that must not drift when synthesis or the Table 5
-searches are optimised.
+"""Golden values that must not drift when synthesis, the Table 5
+searches or the PODEM time-frame evaluation are optimised.
 
 Cell keys embed the structure hashes, so a drift here would silently
 turn every warm store into misses.  The Table 5 searches on retimed
 circuits stop at their budget, so their reported values depend on the
 search order as well as on the circuit; pinning the full reports keeps
-that order fixed.
+that order fixed.  The HITEC/SEST pins do the same for the structural
+search: a changed decision order or five-valued collapse rule moves
+the backtrack count, the lifecycle records or the emitted tests.
 """
+
+import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -17,7 +23,11 @@ from repro.analysis.cycles import (
     max_cycle_length_report,
 )
 from repro.analysis.seqdepth import DepthReport, sequential_depth_report
+from repro.atpg.hitec import HitecEngine
+from repro.atpg.sest import SestEngine
+from repro.fault.analysis import analyze_faults_cached
 from repro.harness import build_pair
+from repro.harness.config import HarnessConfig, select_target_faults
 from repro.service.keys import circuit_structure_hash
 
 STRUCTURE_HASHES = {
@@ -77,3 +87,161 @@ def test_dk16_table5_retimed_pinned():
         count_capped=True,
         length_exact=False,
     )
+
+
+# HITEC (engine seed 17) and SEST (seed 29) on dk16.ji.sd under the
+# quick budget and an 18-fault sample drawn with seed 97: the counters
+# each run reports and the sha256 of its emitted test set.
+SEARCH_PINS = {
+    ("hitec", "original"): (
+        {
+            "atpg.backtracks": 102,
+            "atpg.cpu_seconds": 0.0227,
+            "atpg.faults_aborted": 0,
+            "atpg.faults_detected": 13,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 13,
+            "atpg.frames_expanded": 6,
+            "atpg.states_examined": 7,
+            "atpg.states_traversed": 23,
+            "atpg.test_sequences": 6,
+            "atpg.test_vectors": 120,
+            "lifecycle.aborted_backtrack_limit": 0,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 0,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 10,
+            "lifecycle.detected_targeted": 3,
+            "lifecycle.faults_targeted": 3,
+            "search.invalid_events": 0,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 7,
+            "search.unclassified": 0,
+            "search.unique_invalid": 0,
+            "search.unique_valid": 7,
+            "search.valid_events": 7,
+            "sim.events": 2420,
+        },
+        "fbe01fcc26d15983db79849296d8c0bb6ac8e3aa241774c9cfda46bb44ee18bb",
+    ),
+    ("hitec", "retimed"): (
+        {
+            "atpg.backtracks": 401,
+            "atpg.cpu_seconds": 0.050100000000000006,
+            "atpg.faults_aborted": 2,
+            "atpg.faults_detected": 14,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 16,
+            "atpg.frames_expanded": 4,
+            "atpg.states_examined": 0,
+            "atpg.states_traversed": 55,
+            "atpg.test_sequences": 3,
+            "atpg.test_vectors": 75,
+            "lifecycle.aborted_backtrack_limit": 2,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 0,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 14,
+            "lifecycle.detected_targeted": 0,
+            "lifecycle.faults_targeted": 2,
+            "search.invalid_events": 1,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 1,
+            "search.unclassified": 0,
+            "search.unique_invalid": 1,
+            "search.unique_valid": 0,
+            "search.valid_events": 0,
+            "sim.events": 1675,
+        },
+        "afb14a72f1d03cad2522b972b78c5441dd59dbd27e8b6af445ec4bb2e74acfb4",
+    ),
+    ("sest", "original"): (
+        {
+            "atpg.backtracks": 172,
+            "atpg.cpu_seconds": 0.028200000000000003,
+            "atpg.faults_aborted": 0,
+            "atpg.faults_detected": 13,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 13,
+            "atpg.frames_expanded": 4,
+            "atpg.states_examined": 8,
+            "atpg.states_traversed": 24,
+            "atpg.test_sequences": 7,
+            "atpg.test_vectors": 153,
+            "lifecycle.aborted_backtrack_limit": 0,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 0,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 11,
+            "lifecycle.detected_targeted": 2,
+            "lifecycle.faults_targeted": 2,
+            "search.invalid_events": 0,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 8,
+            "search.unclassified": 0,
+            "search.unique_invalid": 0,
+            "search.unique_valid": 8,
+            "search.valid_events": 8,
+            "sim.events": 2054,
+        },
+        "6e465957e5d7e3e87be89129d75dc9285f2dd1487b42b7f5139b14b8ac193514",
+    ),
+    ("sest", "retimed"): (
+        {
+            "atpg.backtracks": 435,
+            "atpg.cpu_seconds": 0.055,
+            "atpg.faults_aborted": 2,
+            "atpg.faults_detected": 14,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 16,
+            "atpg.frames_expanded": 6,
+            "atpg.states_examined": 0,
+            "atpg.states_traversed": 73,
+            "atpg.test_sequences": 3,
+            "atpg.test_vectors": 66,
+            "lifecycle.aborted_backtrack_limit": 2,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 0,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 13,
+            "lifecycle.detected_targeted": 1,
+            "lifecycle.faults_targeted": 3,
+            "search.invalid_events": 1,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 2,
+            "search.unclassified": 0,
+            "search.unique_invalid": 1,
+            "search.unique_valid": 1,
+            "search.valid_events": 1,
+            "sim.events": 2039,
+        },
+        "a5a1782bb005db88f80cb62672b739b9465ca7a551366d3791350cc52759224b",
+    ),
+}
+
+SEARCH_ENGINES = {"hitec": (HitecEngine, 17), "sest": (SestEngine, 29)}
+
+
+@pytest.mark.parametrize("engine,side", sorted(SEARCH_PINS))
+def test_dk16_search_pinned(engine, side):
+    config = dataclasses.replace(
+        HarnessConfig.quick(), max_faults=18, fault_sample_seed=97
+    )
+    pair = build_pair("dk16.ji.sd")
+    circuit = (
+        pair.original_circuit if side == "original" else pair.retimed_circuit
+    )
+    analysis = analyze_faults_cached(circuit, level=config.collapse_level)
+    targets = select_target_faults(analysis, config)
+    engine_class, seed = SEARCH_ENGINES[engine]
+    result = engine_class(circuit, budget=config.budget, rng_seed=seed).run(
+        targets
+    )
+    digest = hashlib.sha256(
+        json.dumps(result.test_set.sequences).encode()
+    ).hexdigest()
+    assert (result.counters(), digest) == SEARCH_PINS[(engine, side)]
