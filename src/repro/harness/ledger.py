@@ -54,6 +54,7 @@ import dataclasses
 import json
 import os
 import resource
+import threading
 import time
 import uuid
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -128,11 +129,15 @@ def ledger_path(runs_dir: str, run_id: str) -> str:
     return os.path.join(run_directory(runs_dir, run_id), LEDGER_NAME)
 
 
+#: Serializes appends from threads (the runner's pool, the daemon).
+_APPEND_LOCK = threading.Lock()
+
+
 def append_record(path: str, record: TaskRecord) -> None:
     """Durably append one record (flush + fsync: a SIGKILL immediately
     after return must not lose the row)."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
+    with _APPEND_LOCK, open(path, "a", encoding="utf-8") as handle:
         handle.write(record.to_json() + "\n")
         handle.flush()
         os.fsync(handle.fileno())

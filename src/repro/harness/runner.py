@@ -1,31 +1,30 @@
 """Parallel, fault-tolerant execution engine for the experiment harness.
 
-``run_all`` used to walk all eight tables serially in one process; one
-pathological retimed circuit could stall or crash the entire
-reproduction.  This module decomposes the experiment into a task graph
-of independent cells — one per (circuit pair × engine) plus the global
-table cells — and executes them on a pool of **spawned worker
-processes** with:
+The experiment is a task graph of independent cells — one per (circuit
+pair × engine) plus the global table cells.  Every cell, in a local run
+or on the service daemon, goes through one attempt loop,
+:func:`run_cell`, with:
 
-* crash isolation — a worker that dies (exception, segfault, OOM kill)
+* crash isolation — with ``jobs > 1`` each attempt runs in a spawned
+  worker process, so a worker that dies (exception, segfault, OOM kill)
   costs one cell, not the run;
-* a per-task wall-clock timeout — the parent terminates overrunning
-  workers;
+* a per-task wall-clock timeout — the parent joins the worker for at
+  most ``task_timeout_seconds``, then terminates it;
 * bounded retry-with-smaller-budget — a timed-out/crashed cell is
   re-attempted with ``budget.scaled(retry_budget_scale)``, so heavy
   circuits converge to an abortable effort level;
-* poison-task quarantine — a cell that fails every attempt is recorded
-  as ``quarantined`` and the report marks it aborted instead of raising;
+* poison-task quarantine — a cell that fails every attempt gets one
+  ``quarantined`` row and the report marks it aborted instead of raising;
 * a durable JSONL ledger (:mod:`repro.harness.ledger`) — every attempt
   is appended with its config fingerprint, wall time, peak RSS and ATPG
   counters, and ``--resume <run-id>`` skips ledger-completed cells.
 
-Workers receive only ``(task, config)`` — both picklable — and rebuild
-circuits by name through :func:`repro.harness.suite.synthesize_named`
-(the synthesis cache stays per-worker), keeping task payloads tiny.
-With ``jobs=1`` the same cells run in-process, through the same JSON
-round-trip and the same ledger, so serial and parallel runs are
-byte-identical given deterministic budgets.
+``jobs=1`` runs the cells in-process, through the same JSON round-trip
+and the same ledger, so serial and parallel runs are byte-identical
+given deterministic budgets; ``jobs=N`` runs N threads that each wait
+on one worker at a time.  Workers receive only ``(task, config)`` —
+both picklable — and rebuild circuits by name through
+:func:`repro.harness.suite.synthesize_named`.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ import json
 import multiprocessing
 import os
 import sys
+import threading
 import time
 import traceback
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
@@ -76,6 +75,8 @@ SECTIONS = (
 )
 
 Emit = Callable[[str], None]
+
+_SPAWN = multiprocessing.get_context("spawn")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,36 +278,38 @@ def execute_task(task: TaskSpec, config: HarnessConfig) -> Dict:
     return payload
 
 
-def _worker_main(task: TaskSpec, config_data: Dict, result_path: str) -> None:
-    """Spawned-process entry: run one cell, write one result file."""
-    config = HarnessConfig.from_dict(config_data)
+def _attempt_result(
+    task: TaskSpec, config: HarnessConfig, catch=Exception
+) -> Dict:
+    """Run one attempt of a cell; returns the result a worker writes to
+    its result file (``ok``, ``payload`` or ``error``, ``peak_rss_kb``).
+
+    In-process and spawned attempts both go through here, so a crash
+    carries the same traceback wherever the cell ran.
+    """
     result: Dict = {"ok": False}
-    exit_code = 0
     try:
         result["payload"] = execute_task(task, config)
         result["ok"] = True
-    except BaseException:
+    except catch:
         result["error"] = traceback.format_exc(limit=20)
-        exit_code = 1
     result["peak_rss_kb"] = ledger_mod.peak_rss_kb()
+    return result
+
+
+def _worker_main(task: TaskSpec, config_data: Dict, result_path: str) -> None:
+    """Spawned-process entry: run one cell, write one result file."""
+    config = HarnessConfig.from_dict(config_data)
+    result = _attempt_result(task, config, catch=BaseException)
     tmp_path = result_path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
         json.dump(result, handle)
     os.replace(tmp_path, result_path)
-    sys.exit(exit_code)
+    sys.exit(0 if result["ok"] else 1)
 
 
 # ---------------------------------------------------------------------------
 # Parent-side scheduling.
-
-
-@dataclasses.dataclass
-class _Running:
-    task: TaskSpec
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    started: float
-    result_path: str
 
 
 @dataclasses.dataclass
@@ -327,11 +330,6 @@ def _scaled_config(config: HarnessConfig, attempt: int) -> HarnessConfig:
         return config
     factor = config.retry_budget_scale ** attempt
     return dataclasses.replace(config, budget=config.budget.scaled(factor))
-
-
-def _result_file(run_dir: str, task: TaskSpec, attempt: int) -> str:
-    safe = task.key.replace(":", "_").replace("/", "_")
-    return os.path.join(run_dir, "results", f"{safe}.{attempt}.json")
 
 
 def _record_for(
@@ -374,86 +372,26 @@ def _record_for(
     )
 
 
-def _run_serial(
-    tasks: List[TaskSpec],
-    config: HarnessConfig,
-    fingerprint: str,
-    ledger_file: str,
-    run_dir: str,
-    emit: Emit,
-) -> None:
-    """In-process execution (jobs=1): same cells, same JSON round-trip,
-    same ledger as the parallel path.  Per-task timeouts need a killable
-    process and are not enforced here."""
-    for task in tasks:
-        for attempt in range(config.max_task_retries + 1):
-            attempt_config = _scaled_config(config, attempt)
-            start = time.monotonic()
-            try:
-                payload = execute_task(task, attempt_config)
-            except Exception:
-                wall = time.monotonic() - start
-                error = traceback.format_exc(limit=20)
-                ledger_mod.append_record(
-                    ledger_file,
-                    _record_for(
-                        task, fingerprint, attempt, config, "crashed",
-                        wall, error=error,
-                    ),
-                )
-                emit(f"[runner] {task.key} crashed (attempt {attempt})")
-                continue
-            wall = time.monotonic() - start
-            # The JSON round-trip matches what a worker result file
-            # goes through, keeping serial and parallel rows identical.
-            payload = json.loads(json.dumps(payload))
-            ledger_mod.append_record(
-                ledger_file,
-                _record_for(
-                    task, fingerprint, attempt, config, "ok", wall,
-                    payload=payload, rss_kb=ledger_mod.peak_rss_kb(),
-                ),
-            )
-            emit(f"[runner] {task.key} ok ({wall:.1f}s)")
-            break
-        else:
-            ledger_mod.append_record(
-                ledger_file,
-                _record_for(
-                    task, fingerprint, config.max_task_retries, config,
-                    "quarantined", 0.0,
-                    error="every attempt crashed",
-                ),
-            )
-            emit(f"[runner] {task.key} quarantined")
-
-
 def _classify(
-    result_path: str,
+    result: Optional[Dict],
     exitcode: Optional[int],
     timed_out: bool,
     timeout: Optional[float],
 ) -> Tuple[str, Optional[Dict], int, str]:
-    """Map a finished or killed worker to ``(outcome, payload, rss_kb,
+    """Map a finished or killed attempt to ``(outcome, payload, rss_kb,
     error)``.
 
-    A complete result file counts even if the worker was killed between
-    writing it and exiting; with no result file, ``timed_out`` (the
-    parent killed the worker at its deadline) separates a timeout from
-    a crash.
+    A complete result counts even if the worker was killed between
+    writing it and exiting; with no result, ``timed_out`` (the parent
+    killed the worker at its deadline) separates a timeout from a
+    crash.
     """
-    if os.path.exists(result_path):
-        rss_kb = 0
-        try:
-            with open(result_path, "r", encoding="utf-8") as handle:
-                result = json.load(handle)
-            rss_kb = int(result.get("peak_rss_kb", 0))
-            if result.get("ok"):
-                return "ok", result["payload"], rss_kb, ""
-            error = result.get("error", f"worker exit code {exitcode}")
-            return "crashed", None, rss_kb, error
-        except (ValueError, KeyError) as exc:
-            return "crashed", None, rss_kb, f"unreadable worker result: {exc}"
+    if result is not None:
+        rss_kb = int(result.get("peak_rss_kb", 0))
+        if result.get("ok"):
+            return "ok", result["payload"], rss_kb, ""
+        error = result.get("error", f"worker exit code {exitcode}")
+        return "crashed", None, rss_kb, error
     if timed_out:
         return (
             "timeout",
@@ -469,112 +407,224 @@ def _classify(
     )
 
 
-def _finish_attempt(
-    running: _Running,
+class CellHooks:
+    """What a caller adds to :func:`run_cell` (this base adds nothing):
+    the parallel pool stops a run through :meth:`cancelled` and
+    :meth:`started`; the service daemon also emits telemetry."""
+
+    def cancelled(self) -> bool:
+        """True once the cell must stop: no further attempt starts, and
+        an attempt that did not succeed writes no row."""
+        return False
+
+    def started(self, attempt: int, process) -> None:
+        """A spawned attempt's worker ``process`` is running."""
+
+    def failed(self, attempt: int, outcome: str, error: str) -> None:
+        """An attempt crashed or timed out; its row is written."""
+
+    def quarantined(self, attempt: int) -> None:
+        """Every attempt failed; the quarantine row is written."""
+
+
+def _spawn_attempt(
+    task: TaskSpec,
     config: HarnessConfig,
-    fingerprint: str,
-    ledger_file: str,
-    queue: deque,
-    emit: Emit,
-    timed_out: bool = False,
-) -> None:
-    """Classify a finished/killed worker, write the ledger row, and
-    requeue or quarantine failed cells."""
-    task, attempt = running.task, running.attempt
-    wall = time.monotonic() - running.started
-    outcome, payload, rss_kb, error = _classify(
-        running.result_path,
-        running.process.exitcode,
-        timed_out,
-        config.task_timeout_seconds,
+    results_dir: str,
+    attempt: int,
+    started: Callable,
+) -> Tuple[Optional[Dict], Optional[int], bool]:
+    """One attempt in a spawned worker, waited for with a single join
+    up to the task timeout; an overrunning worker is terminated, then
+    killed.  Returns ``(result, exitcode, timed_out)``, where ``result``
+    is None when the worker left no result file."""
+    safe = task.key.replace(":", "_").replace("/", "_")
+    result_path = os.path.join(results_dir, f"{safe}.{attempt}.json")
+    # A file left by an earlier run or job must never be read as this
+    # attempt's result.
+    if os.path.exists(result_path):
+        os.remove(result_path)
+    process = _SPAWN.Process(
+        target=_worker_main,
+        args=(task, config.to_dict(), result_path),
+        daemon=True,
     )
-    ledger_mod.append_record(
-        ledger_file,
-        _record_for(
+    process.start()
+    started(process)
+    process.join(config.task_timeout_seconds)
+    timed_out = process.is_alive()
+    if timed_out:
+        process.terminate()
+        process.join(2.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+    try:
+        with open(result_path, "r", encoding="utf-8") as handle:
+            result = json.load(handle)
+    except FileNotFoundError:
+        result = None
+    except ValueError as exc:
+        result = {"ok": False, "error": f"unreadable worker result: {exc}"}
+    return result, process.exitcode, timed_out
+
+
+def run_cell(
+    task: TaskSpec,
+    config: HarnessConfig,
+    results_dir: str,
+    ledger_file: str,
+    emit: Emit,
+    *,
+    spawn: bool,
+    hooks: CellHooks = CellHooks(),
+) -> Optional[TaskRecord]:
+    """Run one cell through every attempt it gets; the one place the
+    retry, timeout and quarantine rules live.
+
+    Attempt ``n`` runs with the budget scaled by
+    ``retry_budget_scale ** n``: in this process (``spawn=False``; no
+    timeout, since only a process can be killed) or in a spawned worker
+    that writes ``<results_dir>/<key>.<n>.json``.  Every attempt's row
+    is appended to ``ledger_file``; when all ``max_task_retries + 1``
+    attempts fail, one ``quarantined`` row follows.  Returns the ``ok``
+    or ``quarantined`` row, or None when ``hooks.cancelled()`` stopped
+    the cell first.
+    """
+    fingerprint = config.fingerprint()
+    if spawn:
+        os.makedirs(results_dir, exist_ok=True)
+    for attempt in range(config.max_task_retries + 1):
+        if hooks.cancelled():
+            return None
+        attempt_config = _scaled_config(config, attempt)
+        start = time.monotonic()
+        if spawn:
+            result, exitcode, timed_out = _spawn_attempt(
+                task, attempt_config, results_dir, attempt,
+                lambda process: hooks.started(attempt, process),
+            )
+        else:
+            # The JSON round-trip matches what a worker result file
+            # goes through, keeping serial and parallel rows identical.
+            result = json.loads(
+                json.dumps(_attempt_result(task, attempt_config))
+            )
+            exitcode, timed_out = 0, False
+        wall = time.monotonic() - start
+        outcome, payload, rss_kb, error = _classify(
+            result, exitcode, timed_out, config.task_timeout_seconds
+        )
+        if outcome != "ok" and hooks.cancelled():
+            return None
+        record = _record_for(
             task, fingerprint, attempt, config, outcome, wall,
             payload=payload, rss_kb=rss_kb, error=error,
-        ),
-    )
-    if outcome == "ok":
-        emit(f"[runner] {task.key} ok ({wall:.1f}s)")
-        return
-    emit(f"[runner] {task.key} {outcome} (attempt {attempt})")
-    if attempt < config.max_task_retries:
-        queue.append((task, attempt + 1))
-    else:
-        ledger_mod.append_record(
-            ledger_file,
-            _record_for(
-                task, fingerprint, attempt, config, "quarantined", 0.0,
-                error=f"quarantined after {attempt + 1} attempt(s): {outcome}",
-            ),
         )
-        emit(f"[runner] {task.key} quarantined")
+        ledger_mod.append_record(ledger_file, record)
+        if outcome == "ok":
+            emit(f"{task.key} ok ({wall:.1f}s)")
+            return record
+        emit(f"{task.key} {outcome} (attempt {attempt})")
+        hooks.failed(attempt, outcome, error)
+    record = _record_for(
+        task, fingerprint, attempt, config, "quarantined", 0.0,
+        error=f"quarantined after {attempt + 1} attempt(s): {outcome}",
+    )
+    ledger_mod.append_record(ledger_file, record)
+    emit(f"{task.key} quarantined")
+    hooks.quarantined(attempt)
+    return record
+
+
+def _run_serial(
+    tasks: List[TaskSpec],
+    config: HarnessConfig,
+    ledger_file: str,
+    run_dir: str,
+    emit: Emit,
+) -> None:
+    """In-process execution (jobs=1): same cells, same JSON round-trip,
+    same ledger as the parallel path."""
+    results_dir = os.path.join(run_dir, "results")
+    for task in tasks:
+        run_cell(
+            task, config, results_dir, ledger_file,
+            lambda line: emit(f"[runner] {line}"), spawn=False,
+        )
+
+
+class _Pool(CellHooks):
+    """The cells of :func:`_run_parallel`, handed out in task-graph
+    order.  Once stopped it hands out none, no running cell starts
+    another attempt or writes a failed row, and every live worker is
+    killed."""
+
+    def __init__(self, tasks: List[TaskSpec]):
+        self._lock = threading.Lock()
+        self._todo = iter(tasks)
+        self._processes: List = []
+        self._stopped = False
+
+    def next_task(self) -> Optional[TaskSpec]:
+        with self._lock:
+            return None if self._stopped else next(self._todo, None)
+
+    def cancelled(self) -> bool:
+        return self._stopped
+
+    def started(self, attempt: int, process) -> None:
+        with self._lock:
+            self._processes.append(process)
+            if self._stopped:
+                process.kill()
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            for process in self._processes:
+                process.kill()
 
 
 def _run_parallel(
     tasks: List[TaskSpec],
     config: HarnessConfig,
-    fingerprint: str,
     ledger_file: str,
     run_dir: str,
     emit: Emit,
 ) -> None:
-    """Spawned-worker pool with per-task timeout kill."""
-    context = multiprocessing.get_context("spawn")
-    os.makedirs(os.path.join(run_dir, "results"), exist_ok=True)
-    queue: deque = deque((task, 0) for task in tasks)
-    running: Dict[str, _Running] = {}
+    """``config.jobs`` threads take the cells in task-graph order and
+    run each through :func:`run_cell` in spawned workers."""
+    results_dir = os.path.join(run_dir, "results")
+    pool = _Pool(tasks)
+    errors: List[BaseException] = []
+
+    def drain() -> None:
+        try:
+            for task in iter(pool.next_task, None):
+                run_cell(
+                    task, config, results_dir, ledger_file,
+                    lambda line: emit(f"[runner] {line}"),
+                    spawn=True, hooks=pool,
+                )
+        except Exception as exc:  # re-raised by the calling thread
+            errors.append(exc)
+            pool.stop()
+
+    threads = [
+        threading.Thread(target=drain, daemon=True)
+        for _ in range(config.jobs)
+    ]
+    for thread in threads:
+        thread.start()
     try:
-        while queue or running:
-            while queue and len(running) < config.jobs:
-                task, attempt = queue.popleft()
-                attempt_config = _scaled_config(config, attempt)
-                result_path = _result_file(run_dir, task, attempt)
-                process = context.Process(
-                    target=_worker_main,
-                    args=(task, attempt_config.to_dict(), result_path),
-                    daemon=True,
-                )
-                process.start()
-                running[task.key] = _Running(
-                    task=task,
-                    attempt=attempt,
-                    process=process,
-                    started=time.monotonic(),
-                    result_path=result_path,
-                )
-            time.sleep(0.02)
-            for key in list(running):
-                state = running[key]
-                process = state.process
-                if process.is_alive():
-                    timeout = config.task_timeout_seconds
-                    if (
-                        timeout is not None
-                        and time.monotonic() - state.started > timeout
-                    ):
-                        process.terminate()
-                        process.join(2.0)
-                        if process.is_alive():
-                            process.kill()
-                            process.join()
-                        del running[key]
-                        _finish_attempt(
-                            state, config, fingerprint, ledger_file,
-                            queue, emit, timed_out=True,
-                        )
-                    continue
-                process.join()
-                del running[key]
-                _finish_attempt(
-                    state, config, fingerprint, ledger_file, queue, emit
-                )
-    finally:
-        for state in running.values():
-            if state.process.is_alive():
-                state.process.kill()
-                state.process.join()
+        for thread in threads:
+            thread.join()
+    except BaseException:  # an interrupt: kill live workers, re-raise
+        pool.stop()
+        raise
+    if errors:
+        raise errors[0]
 
 
 def assemble_trace(
@@ -703,13 +753,9 @@ def run_experiment(
         if session is not None and config.service_socket:
             session.run_via_daemon(todo, ledger_file, emit)
         elif config.jobs <= 1:
-            _run_serial(
-                todo, config, fingerprint, ledger_file, run_dir, emit
-            )
+            _run_serial(todo, config, ledger_file, run_dir, emit)
         else:
-            _run_parallel(
-                todo, config, fingerprint, ledger_file, run_dir, emit
-            )
+            _run_parallel(todo, config, ledger_file, run_dir, emit)
 
     # Re-read the ledger: the file is the single source of truth the
     # report is assembled from (also exactly what resume would see).

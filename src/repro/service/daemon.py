@@ -3,11 +3,13 @@
 ``python -m repro.service serve --store <dir> --socket <path>`` runs a
 :class:`ServiceDaemon`: a threaded unix-domain socket server speaking
 the line-delimited JSON protocol of :mod:`repro.service.client`, in
-front of a worker pool that executes submitted experiment cells with
-the harness runner's machinery — spawned worker processes
-(:func:`repro.harness.runner._worker_main`), per-task wall-clock
-timeout kill, retry with ``budget.scaled``, poison-task quarantine,
-and the deterministic WorkClock whenever the submitted config uses it.
+front of ``jobs`` worker threads.  Each thread takes the next queued
+job and runs its cell through :func:`repro.harness.runner.run_cell`,
+the same attempt loop a local run uses: spawned worker, per-task
+timeout kill, retry with ``budget.scaled``, and one quarantine row when
+every attempt fails.  The daemon only adds hooks around that loop
+(telemetry events, the live worker that ``cancel`` terminates, the
+cancel check), a results directory per cell key, and the store write.
 
 Job semantics:
 
@@ -20,7 +22,9 @@ Job semantics:
 * every completed attempt is appended to the daemon's own durable
   ledger (``<work_dir>/ledger.jsonl``), and successful records are
   written to the content-addressed store, so a daemon killed mid-job
-  loses at most the in-flight attempt — never a stored result.
+  loses at most the in-flight attempt — never a stored result;
+* **cancel** of a running job terminates its worker; the cancelled
+  attempt is neither retried nor quarantined and writes no ledger row.
 
 All science runs in spawned worker processes from ``(task, config)``
 alone, so daemon-computed records are byte-identical to local-runner
@@ -85,6 +89,9 @@ PROTOCOL_OPS = (
     "shutdown",
 )
 
+#: What ``stats`` shows for a worker thread with no job.
+_IDLE = {"state": "idle", "job": None, "cell": None, "task": None}
+
 
 @dataclasses.dataclass
 class _Job:
@@ -137,7 +144,6 @@ class ServiceDaemon:
         self.work_dir = work_dir or os.path.join(store_dir, "daemon")
         self.ledger_file = os.path.join(self.work_dir, "ledger.jsonl")
         self.emit = emit or (lambda line: None)
-        os.makedirs(os.path.join(self.work_dir, "results"), exist_ok=True)
 
         self._lock = threading.Lock()
         self._queue_ready = threading.Condition(self._lock)
@@ -196,8 +202,7 @@ class ServiceDaemon:
         for index in range(self.jobs):
             self.metrics.gauge("service.worker_busy", worker=index)
         self._worker_state: Dict[int, Dict[str, Any]] = {
-            index: {"state": "idle", "job": None, "cell": None, "task": None}
-            for index in range(self.jobs)
+            index: dict(_IDLE) for index in range(self.jobs)
         }
         self._watchdog_flagged: set = set()
         self._dead_workers: set = set()
@@ -479,10 +484,7 @@ class ServiceDaemon:
                 while not self._queue and not self._shutdown.is_set():
                     self._queue_ready.wait(0.2)
                 if self._shutdown.is_set() and not self._queue:
-                    self._worker_state[index] = {
-                        "state": "idle", "job": None, "cell": None,
-                        "task": None,
-                    }
+                    self._worker_state[index] = dict(_IDLE)
                     return
                 job = self._jobs[self._queue.pop(0)]
                 job.state = "running"
@@ -505,138 +507,40 @@ class ServiceDaemon:
                     )
             finally:
                 with self._lock:
-                    self._worker_state[index] = {
-                        "state": "idle", "job": None, "cell": None,
-                        "task": None,
-                    }
+                    self._worker_state[index] = dict(_IDLE)
 
     def _execute(self, job: _Job) -> None:
-        """One cell through the runner machinery: spawn, timeout,
-        retry-with-scaled-budget, quarantine."""
+        """One cell through the runner's attempt loop; the daemon adds
+        telemetry, cancel, its own ledger and the store write."""
         # Imported here, not at module top: repro.harness.config imports
         # repro.service for the shared key schema.
-        import multiprocessing
-
-        from ..harness import ledger as ledger_mod
         from ..harness.config import HarnessConfig
-        from ..harness.runner import (
-            TaskSpec,
-            _classify,
-            _record_for,
-            _result_file,
-            _scaled_config,
-        )
+        from ..harness.runner import TaskSpec, run_cell
 
         task_data = dict(job.task_data)
         task_data["tables"] = tuple(task_data.get("tables") or ())
         task = TaskSpec(**task_data)
         config = HarnessConfig.from_dict(job.config_data)
-        fingerprint = config.fingerprint()
-        context = multiprocessing.get_context("spawn")
-
-        final_record = None
-        for attempt in range(config.max_task_retries + 1):
-            if job.cancel_requested:
-                with self._lock:
-                    self._finish(job, "cancelled", error="cancelled")
-                return
-            attempt_config = _scaled_config(config, attempt)
-            result_path = _result_file(self.work_dir, task, attempt)
-            process = context.Process(
-                target=_daemon_worker_entry,
-                args=(task, attempt_config.to_dict(), result_path),
-                daemon=True,
-            )
-            exec_span = gen_span_id()
-            with self._lock:
-                job.attempts += 1
-                self.telemetry.event(
-                    "started",
-                    job=job.id,
-                    cell=job.cell,
-                    task=task.key,
-                    attempt=attempt,
-                    worker=job.worker,
-                    exec_span=exec_span,
-                    trace_id=job.trace_id,
-                )
-            started = time.monotonic()
-            process.start()
-            with self._lock:
-                job.process = process
-            timed_out = False
-            timeout = config.task_timeout_seconds
-            while process.is_alive():
-                process.join(0.02)
-                if (
-                    timeout is not None
-                    and time.monotonic() - started > timeout
-                    and process.is_alive()
-                ):
-                    process.terminate()
-                    process.join(2.0)
-                    if process.is_alive():
-                        process.kill()
-                        process.join()
-                    timed_out = True
-                    break
-            wall = time.monotonic() - started
-            with self._lock:
-                job.process = None
-
-            outcome, payload, rss_kb, error = _classify(
-                result_path, process.exitcode, timed_out, timeout
-            )
-            record = _record_for(
-                task, fingerprint, attempt, config, outcome, wall,
-                payload=payload, rss_kb=rss_kb, error=error,
-            )
-            ledger_mod.append_record(self.ledger_file, record)
-            if outcome == "ok":
-                final_record = json.loads(record.to_json())
-                self.store.put(job.cell, final_record)
-                break
-            with self._lock:
-                self._m_retries.inc()
-                self.telemetry.event(
-                    "retried",
-                    job=job.id,
-                    cell=job.cell,
-                    attempt=attempt,
-                    outcome=outcome,
-                    error=error,
-                    trace_id=job.trace_id,
-                )
-            self.emit(f"[daemon] {task.key} {outcome} (attempt {attempt})")
+        record = run_cell(
+            task,
+            config,
+            # Per cell: two in-flight cells may share a task key.
+            os.path.join(self.work_dir, "results", job.cell),
+            self.ledger_file,
+            lambda line: self.emit(f"[daemon] {line}"),
+            spawn=True,
+            hooks=_JobHooks(self, job),
+        )
+        if record is None:
+            state, data, error = "cancelled", None, "cancelled"
+        elif record.outcome == "ok":
+            state, data, error = "done", json.loads(record.to_json()), ""
+            self.store.put(job.cell, data)
         else:
-            quarantine = _record_for(
-                task, fingerprint, config.max_task_retries, config,
-                "quarantined", 0.0,
-                error="every attempt crashed or timed out",
-            )
-            ledger_mod.append_record(self.ledger_file, quarantine)
-            with self._lock:
-                self._m_quarantined.inc()
-                self.telemetry.event(
-                    "quarantined",
-                    job=job.id,
-                    cell=job.cell,
-                    attempt=config.max_task_retries,
-                    trace_id=job.trace_id,
-                )
-                self._finish(
-                    job,
-                    "failed",
-                    record=json.loads(quarantine.to_json()),
-                    error="quarantined after "
-                    f"{config.max_task_retries + 1} attempt(s)",
-                )
-            self.emit(f"[daemon] {task.key} quarantined")
-            return
-
+            state, data = "failed", json.loads(record.to_json())
+            error = f"quarantined after {record.attempt + 1} attempt(s)"
         with self._lock:
-            self._finish(job, "done", record=final_record)
-        self.emit(f"[daemon] {task.key} ok")
+            self._finish(job, state, record=data, error=error)
 
     # -- health watchdog -------------------------------------------------
 
@@ -783,8 +687,43 @@ class ServiceDaemon:
             self.telemetry.close()
 
 
-def _daemon_worker_entry(task, config_data, result_path):
-    """Picklable spawn target: delegate to the runner's worker main."""
-    from ..harness.runner import _worker_main
+class _JobHooks:
+    """The daemon's additions to :func:`repro.harness.runner.run_cell`
+    for one job (see :class:`repro.harness.runner.CellHooks`)."""
 
-    _worker_main(task, config_data, result_path)
+    def __init__(self, daemon: ServiceDaemon, job: _Job):
+        self.daemon, self.job = daemon, job
+
+    def cancelled(self) -> bool:
+        return self.job.cancel_requested
+
+    def _event(self, kind: str, **fields: Any) -> None:
+        """One job telemetry event (caller holds the daemon lock)."""
+        job = self.job
+        self.daemon.telemetry.event(
+            kind, job=job.id, cell=job.cell, trace_id=job.trace_id, **fields
+        )
+
+    def started(self, attempt: int, process) -> None:
+        job = self.job
+        with self.daemon._lock:
+            job.attempts += 1
+            job.process = process
+            if job.cancel_requested:
+                process.terminate()  # the cancel came during the spawn
+            self._event(
+                "started", task=job.task_data.get("key"), attempt=attempt,
+                worker=job.worker, exec_span=gen_span_id(),
+            )
+
+    def failed(self, attempt: int, outcome: str, error: str) -> None:
+        with self.daemon._lock:
+            self.daemon._m_retries.inc()
+            self._event(
+                "retried", attempt=attempt, outcome=outcome, error=error
+            )
+
+    def quarantined(self, attempt: int) -> None:
+        with self.daemon._lock:
+            self.daemon._m_quarantined.inc()
+            self._event("quarantined", attempt=attempt)

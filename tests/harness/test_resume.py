@@ -7,6 +7,7 @@ to an uninterrupted run.
 """
 
 import dataclasses
+import json
 import os
 from collections import Counter
 
@@ -16,7 +17,11 @@ from repro.errors import ReproError
 from repro.harness import assemble_report, load_records, run_all
 from repro.harness.runner import run_experiment
 
-from .test_runner import lean_config, strip_wall_time
+from .test_runner import (
+    lean_config,
+    strip_wall_time,
+    struct_only_config,
+)
 
 
 def small_config(runs_dir, **overrides):
@@ -116,6 +121,30 @@ class TestResume:
         )
         with pytest.raises(ReproError, match="refusing to resume"):
             run_experiment(changed)
+
+    def test_resume_never_reads_an_earlier_result_file(self, tmp_path):
+        """A worker result file left in the run directory by an earlier
+        invocation is never taken as the resumed attempt's result."""
+        config = struct_only_config(
+            tmp_path,
+            jobs=2,
+            task_hook="tests.harness.hooks:hang_struct",
+            task_timeout_seconds=2.0,
+            max_task_retries=0,
+        )
+        first = run_experiment(config)
+        stale = os.path.join(
+            first.run_dir, "results", "struct_dk16.ji.sd.0.json"
+        )
+        with open(stale, "w") as handle:
+            json.dump({"ok": True, "payload": {"tables": {}}}, handle)
+
+        resumed = run_experiment(
+            dataclasses.replace(config, resume=first.run_id)
+        )
+        assert [r.outcome for r in resumed.records] == [
+            "timeout", "quarantined", "timeout", "quarantined",
+        ]
 
     def test_cli_parses_resume_flags(self, tmp_path):
         from repro.harness.__main__ import build_parser

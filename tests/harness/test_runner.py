@@ -10,13 +10,17 @@ rows modulo the wall-time fields.
 import dataclasses
 import json
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.atpg import EffortBudget
-from repro.harness import HarnessConfig, load_records, run_all
+from repro.harness import HarnessConfig, load_records, run_all, runner
 from repro.harness.ledger import WALL_TIME_FIELDS
 from repro.harness.runner import build_task_graph
+
+from tests.service.helpers import running_daemon
 
 PAIRS = ("dk16.ji.sd", "s820.jc.sr", "pma.jo.sd")
 
@@ -157,35 +161,55 @@ def single_run_records(runs_dir):
     return records
 
 
+def run_in_mode(tmp_path, config, mode):
+    """Run ``config`` locally (``mode`` is the jobs level) or through an
+    in-thread daemon (``mode == "daemon"``); returns the report and
+    every attempt's row.  A daemon-routed run ledger keeps only each
+    cell's final row, so that mode's attempt rows come from the
+    daemon's own ledger."""
+    runs = tmp_path / "runs"
+    config = dataclasses.replace(config, runs_dir=str(runs))
+    if mode != "daemon":
+        return run_all(config, jobs=mode), single_run_records(runs)
+    with running_daemon(tmp_path) as (_, instance):
+        report = run_all(config, service_socket=instance.socket_path)
+        records, _ = load_records(instance.ledger_file)
+    # The daemon writes the same attempt rows as a local pool.
+    _, local = run_in_mode(tmp_path / "local", config, 2)
+    assert attempt_rows(records) == attempt_rows(local)
+    return report, records
+
+
+def attempt_rows(records):
+    return [(r.attempt, r.outcome, r.error) for r in records]
+
+
 class TestCrashRobustness:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_poison_cell_is_quarantined(self, tmp_path, jobs):
+    @pytest.mark.parametrize("mode", [1, 2, "daemon"])
+    def test_poison_cell_is_quarantined(self, tmp_path, mode):
         config = struct_only_config(
             tmp_path,
             task_hook="tests.harness.hooks:crash_struct",
             max_task_retries=1,
         )
-        report = run_all(config, jobs=jobs)  # must not raise
+        report, records = run_in_mode(tmp_path, config, mode)
         assert "dk16.ji.sd [aborted]" in report
-        outcomes = [
-            (r.attempt, r.outcome) for r in single_run_records(tmp_path)
-        ]
-        assert outcomes == [
+        assert [(r.attempt, r.outcome) for r in records] == [
             (0, "crashed"),
             (1, "crashed"),
             (1, "quarantined"),
         ]
+        assert records[-1].error == "quarantined after 2 attempt(s): crashed"
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_retry_with_smaller_budget_recovers(self, tmp_path, jobs):
+    @pytest.mark.parametrize("mode", [1, 2, "daemon"])
+    def test_retry_with_smaller_budget_recovers(self, tmp_path, mode):
         config = struct_only_config(
             tmp_path,
             task_hook="tests.harness.hooks:crash_full_budget",
             max_task_retries=1,
         )
-        report = run_all(config, jobs=jobs)
+        report, records = run_in_mode(tmp_path, config, mode)
         assert "[aborted]" not in report
-        records = single_run_records(tmp_path)
         assert [(r.attempt, r.outcome) for r in records] == [
             (0, "crashed"),
             (1, "ok"),
@@ -204,36 +228,78 @@ class TestCrashRobustness:
         assert "injected crash in struct:dk16.ji.sd" in crashed.error
 
 
+def hang_config(tmp_path, retries):
+    return struct_only_config(
+        tmp_path,
+        task_hook="tests.harness.hooks:hang_struct",
+        task_timeout_seconds=2.0,
+        max_task_retries=retries,
+    )
+
+
 class TestTimeout:
-    def test_hung_worker_is_killed_and_quarantined(self, tmp_path):
-        config = struct_only_config(
-            tmp_path,
-            task_hook="tests.harness.hooks:hang_struct",
-            task_timeout_seconds=2.0,
-            max_task_retries=0,
-        )
-        report = run_all(config, jobs=2)  # must not hang or raise
+    def check_killed_and_quarantined(self, tmp_path, mode):
+        # Must not hang or raise.
+        report, records = run_in_mode(tmp_path, hang_config(tmp_path, 0), mode)
         assert "dk16.ji.sd [aborted]" in report
-        records = single_run_records(tmp_path)
         assert [r.outcome for r in records] == ["timeout", "quarantined"]
         assert "exceeded task timeout" in records[0].error
+        assert records[1].error == "quarantined after 1 attempt(s): timeout"
 
-    def test_timeout_then_retry_records_both_attempts(self, tmp_path):
-        config = struct_only_config(
-            tmp_path,
-            task_hook="tests.harness.hooks:hang_struct",
-            task_timeout_seconds=2.0,
-            max_task_retries=1,
-        )
-        run_all(config, jobs=2)
-        outcomes = [
-            (r.attempt, r.outcome) for r in single_run_records(tmp_path)
-        ]
-        assert outcomes == [
+    def check_both_attempts_recorded(self, tmp_path, mode):
+        _, records = run_in_mode(tmp_path, hang_config(tmp_path, 1), mode)
+        assert [(r.attempt, r.outcome) for r in records] == [
             (0, "timeout"),
             (1, "timeout"),
             (1, "quarantined"),
         ]
+
+    def test_hung_worker_is_killed_and_quarantined(self, tmp_path):
+        self.check_killed_and_quarantined(tmp_path, 2)
+
+    def test_daemon_kills_and_quarantines_hung_worker(self, tmp_path):
+        self.check_killed_and_quarantined(tmp_path, "daemon")
+
+    def test_timeout_then_retry_records_both_attempts(self, tmp_path):
+        self.check_both_attempts_recorded(tmp_path, 2)
+
+    def test_daemon_timeout_then_retry_records_both_attempts(self, tmp_path):
+        self.check_both_attempts_recorded(tmp_path, "daemon")
+
+
+class TestConcurrentAppends:
+    def test_threads_append_whole_rows(self, tmp_path, monkeypatch):
+        """More threads than cores run cells into one ledger: every row
+        lands whole, once."""
+        blob = "x" * 50_000  # several write buffers per row
+        monkeypatch.setitem(
+            runner._CELLS, "table1", lambda task, config, obs: {"blob": blob}
+        )
+        config = lean_config(tmp_path, max_task_retries=0)
+        ledger_file = str(tmp_path / "ledger.jsonl")
+        tasks = [
+            runner.TaskSpec(key=f"table1:{n}", kind="table1")
+            for n in range(60)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as threads:
+                futures = [
+                    threads.submit(
+                        runner.run_cell, task, config, str(tmp_path),
+                        ledger_file, lambda line: None, spawn=False,
+                    )
+                    for task in tasks
+                ]
+                for future in futures:
+                    assert future.result(timeout=60).outcome == "ok"
+        finally:
+            sys.setswitchinterval(interval)
+        records, torn = load_records(ledger_file)
+        assert torn == 0
+        assert sorted(r.key for r in records) == sorted(t.key for t in tasks)
+        assert all(r.payload["blob"] == blob for r in records)
 
 
 class TestArtifacts:

@@ -13,23 +13,23 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 
 from repro.harness.config import HarnessConfig
 from repro.harness.runner import build_task_graph
+from repro.harness.ledger import load_records
 from repro.service import (
     ProtocolError,
     ResultStore,
     ServiceClient,
-    ServiceDaemon,
     ServiceError,
 )
 from repro.service import keys as service_keys
 
 from tests.harness.test_runner import LEAN_BUDGET
+from tests.service.helpers import running_daemon
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -71,31 +71,8 @@ def submit_args(task, config):
 @pytest.fixture
 def daemon(tmp_path):
     """An in-thread ServiceDaemon; yields (client, daemon handle)."""
-    socket_path = str(tmp_path / "svc.sock")
-    instance = ServiceDaemon(
-        socket_path,
-        str(tmp_path / "store"),
-        jobs=1,
-        emit=lambda line: None,
-    )
-    thread = threading.Thread(target=instance.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient(socket_path, timeout=10.0)
-    deadline = time.monotonic() + 10.0
-    while True:
-        try:
-            client.ping()
-            break
-        except (ServiceError, ProtocolError):
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.02)
-    yield client, instance
-    try:
-        client.shutdown()
-    except (ServiceError, ProtocolError):
-        pass
-    thread.join(timeout=10.0)
+    with running_daemon(tmp_path) as handles:
+        yield handles
 
 
 class TestJobSemantics:
@@ -217,6 +194,89 @@ class TestJobSemantics:
         stats = client.stats()
         assert stats["store"]["quarantined"] == 1
         assert stats["store"]["entries"] == 1  # healed by the recompute
+
+
+HANG = "tests.harness.hooks:hang_struct"
+
+
+def struct_config(tmp_path, **overrides):
+    return tiny_config(tmp_path, tables=("table5",), **overrides)
+
+
+def ledger_rows(instance):
+    if not os.path.exists(instance.ledger_file):
+        return []
+    records, _ = load_records(instance.ledger_file)
+    return [(r.key, r.attempt, r.outcome) for r in records]
+
+
+class TestAttemptLoop:
+    def test_stale_result_of_another_cell_is_never_read(
+        self, tmp_path, daemon
+    ):
+        """Two cells of one task key: the second one hangs and is
+        killed, and must not come back with the first one's result."""
+        client, instance = daemon
+        config_a = struct_config(tmp_path)
+        task = tasks_by_key(config_a)["struct:dk16.ji.sd"]
+        cell_a, task_data, data_a = submit_args(task, config_a)
+        done = client.result(
+            client.submit(cell_a, task_data, data_a)["job"], timeout=120.0
+        )
+        assert done["state"] == "done"
+
+        config_b = struct_config(
+            tmp_path,
+            max_faults=51,
+            task_hook=HANG,
+            task_timeout_seconds=2.0,
+            max_task_retries=0,
+        )
+        cell_b, task_data, data_b = submit_args(task, config_b)
+        assert cell_b != cell_a
+        result = client.result(
+            client.submit(cell_b, task_data, data_b)["job"], timeout=120.0
+        )
+        assert result["state"] == "failed"
+        assert result["record"]["outcome"] == "quarantined"
+        assert instance.store.get(cell_b) is None
+        assert instance.store.get(cell_a) == done["record"]
+        assert ledger_rows(instance) == [
+            ("struct:dk16.ji.sd", 0, "ok"),
+            ("struct:dk16.ji.sd", 0, "timeout"),
+            ("struct:dk16.ji.sd", 0, "quarantined"),
+        ]
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_cancel_running_job(self, tmp_path, daemon, retries):
+        """Cancelling a running cell kills its worker; the attempt is
+        neither retried nor quarantined and writes no row."""
+        client, instance = daemon
+        config = struct_config(
+            tmp_path,
+            task_hook=HANG,
+            task_timeout_seconds=120.0,
+            max_task_retries=retries,
+        )
+        task = tasks_by_key(config)["struct:dk16.ji.sd"]
+        cell, task_data, config_data = submit_args(task, config)
+        job_id = client.submit(cell, task_data, config_data)["job"]
+        job = instance._jobs[job_id]
+        deadline = time.monotonic() + 60.0
+        while job.process is None or not job.process.is_alive():
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+
+        client.cancel(job_id)
+        result = client.result(job_id, timeout=60.0)
+        assert result["state"] == "cancelled"
+        assert "record" not in result
+        stats = client.stats()
+        assert (stats["cancelled"], stats["failed"]) == (1, 0)
+        assert ledger_rows(instance) == []
+        assert instance._m_retries.value == 0
+        assert instance._m_quarantined.value == 0
+        assert instance.store.get(cell) is None
 
 
 class TestDaemonCrash:
