@@ -19,6 +19,7 @@ from .density import (
     density_of_encoding,
     explicit_valid_states,
     reachability_report,
+    reachable_states,
 )
 from .correlation import (
     density_cost_correlation,
@@ -54,6 +55,7 @@ __all__ = [
     "max_sequential_depth",
     "sequential_depth_report",
     "reachability_report",
+    "reachable_states",
     "sequential_depth_per_output",
     "simulate_test_set_on",
     "traversal_report",

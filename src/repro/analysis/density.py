@@ -12,7 +12,9 @@ from :class:`repro.logic.bddcircuit.CircuitBdds`; each image step uses
 the output-splitting range construction (no transition relation, no
 primed variables), with primary inputs implicitly quantified.  The
 frontier-based fixpoint handles the 2^28-state retimed circuits of the
-paper in well under a second.
+paper in well under a second.  Each circuit computes it once:
+:func:`reachable_states` memoizes one compacted :class:`ReachableStates`
+per live circuit, shared by lint, the search classifiers and Tables 6-8.
 
 An explicit breadth-first traversal over concrete states
 (:func:`explicit_valid_states`) serves as the cross-check oracle in the
@@ -23,11 +25,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..circuit.gates import ONE, X, ZERO
+from ..circuit.gates import ONE, X
+from ..circuit.memo import CircuitMemo
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError
+from ..logic.bdd import BddManager
 from ..logic.bddcircuit import CircuitBdds
 from ..sim.logicsim import TernarySimulator
 
@@ -51,7 +55,16 @@ class ReachabilityReport:
 
 
 class ReachableStates:
-    """Reachable-set computation with reusable BDD machinery."""
+    """The valid-state set of one circuit, kept in compact form.
+
+    Construction runs the whole fixpoint, then copies the reachable BDD
+    into a fresh manager over the state variables alone and drops the
+    circuit's BDDs (next-state functions, image intermediates, ITE
+    caches).  What is kept is the reachable set's own cone — a few
+    hundred nodes on the Table 3 pairs — plus its count and iteration
+    count.  ROBDDs are canonical, so every query answers exactly as it
+    would on the full manager.
+    """
 
     def __init__(self, circuit: Circuit):
         circuit.check()
@@ -60,51 +73,39 @@ class ReachableStates:
                 f"circuit {circuit.name!r} has no defined reset state; "
                 "valid states are defined relative to one (paper §5)"
             )
-        self.circuit = circuit
-        self._bdds = CircuitBdds(circuit)
-        self._manager = self._bdds.manager
-        self._state_vars = self._bdds.state_variables()
-        self._ns_functions = [
-            fn for _, fn in self._bdds.next_state_functions()
-        ]
-        self._reset_cube = {
+        self.circuit_name = circuit.name
+        self._state_vars = list(circuit.dff_names())
+        bdds = CircuitBdds(circuit)
+        full = bdds.manager
+        reset_cube = {
             name: (1 if circuit.node(name).init == ONE else 0)
             for name in self._state_vars
         }
-        self._reachable: Optional[int] = None
-        self._iterations = 0
-
-    def reachable_bdd(self) -> int:
-        """Characteristic function of the valid-state set (cached)."""
-        if self._reachable is not None:
-            return self._reachable
-        m = self._manager
-        reached = m.cube(self._reset_cube)
+        ns_functions = [fn for _, fn in bdds.next_state_functions()]
+        reached = full.cube(reset_cube)
         frontier = reached
         iterations = 0
-        while frontier != m.FALSE:
+        while frontier != full.FALSE:
             iterations += 1
-            image = m.range_of(
-                self._ns_functions, self._state_vars, frontier
-            )
-            new = m.and_(image, m.not_(reached))
-            reached = m.or_(reached, new)
+            image = full.range_of(ns_functions, self._state_vars, frontier)
+            new = full.and_(image, full.not_(reached))
+            reached = full.or_(reached, new)
             frontier = new
-        self._reachable = reached
         self._iterations = iterations
-        return reached
+        # State variables lead the default order, so a state-only
+        # manager gives each DFF its declaration position as its level.
+        self._manager = BddManager(self._state_vars)
+        self._reachable = full.transfer(reached, self._manager)
+        self._count = self._manager.satcount(self._reachable, self._state_vars)
 
     def count(self) -> int:
-        return self._manager.satcount(
-            self.reachable_bdd(), self._state_vars
-        )
+        return self._count
 
     def report(self) -> ReachabilityReport:
-        count = self.count()
         return ReachabilityReport(
-            circuit_name=self.circuit.name,
+            circuit_name=self.circuit_name,
             num_dffs=len(self._state_vars),
-            num_valid_states=count,
+            num_valid_states=self._count,
             iterations=self._iterations,
         )
 
@@ -114,9 +115,7 @@ class ReachableStates:
             name: int(bit)
             for name, bit in zip(self._state_vars, state)
         }
-        return bool(
-            self._manager.evaluate(self.reachable_bdd(), assignment)
-        )
+        return bool(self._manager.evaluate(self._reachable, assignment))
 
     def intersects(self, cube: Dict[int, int]) -> bool:
         """Does any valid state satisfy this partial assignment?
@@ -128,17 +127,15 @@ class ReachableStates:
         justification proposes — a cube that misses the valid set
         entirely is provably wasted effort (paper §5).
         """
-        m = self._manager
-        cube_bdd = m.cube(
-            {self._state_vars[pos]: int(val) for pos, val in cube.items()}
-        )
-        return m.and_(self.reachable_bdd(), cube_bdd) != m.FALSE
+        # A DFF's position is its level in the state-only manager.
+        by_level = {int(pos): int(val) for pos, val in cube.items()}
+        return not self._manager.cofactor_is_false(self._reachable, by_level)
 
     def enumerate(self, limit: int = 100_000) -> List[Tuple[int, ...]]:
         """List valid states (DFF declaration order), up to ``limit``."""
         result: List[Tuple[int, ...]] = []
         for assignment in self._manager.iter_satisfying(
-            self.reachable_bdd(), self._state_vars
+            self._reachable, self._state_vars
         ):
             result.append(
                 tuple(assignment[name] for name in self._state_vars)
@@ -150,9 +147,23 @@ class ReachableStates:
         return result
 
 
+_REACHABLE: CircuitMemo[ReachableStates] = CircuitMemo()
+
+
+def reachable_states(circuit: Circuit) -> ReachableStates:
+    """The circuit's one shared :class:`ReachableStates`.
+
+    Lint (DRC106), the search observatory's classifiers and Tables 6-8
+    all read the same fixpoint; it is rebuilt only after the circuit
+    changes structure or the per-circuit memos are cleared (see
+    :func:`repro.sim.compile.clear_program_cache`).
+    """
+    return _REACHABLE.get(circuit, ReachableStates)
+
+
 def reachability_report(circuit: Circuit) -> ReachabilityReport:
     """One-call Table 6/7 row: valid states + density of encoding."""
-    return ReachableStates(circuit).report()
+    return reachable_states(circuit).report()
 
 
 def density_of_encoding(circuit: Circuit) -> float:

@@ -27,7 +27,7 @@ uncontrollable lines, e.g. those requiring unreachable states).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit, NodeKind
@@ -80,47 +80,50 @@ class ScoapReport:
         return sum(finite) / len(finite) if finite else INFINITY
 
 
-def _gate_controllabilities(
-    gate: GateType,
-    fanin0: List[float],
-    fanin1: List[float],
-) -> Tuple[float, float]:
-    """(CC0, CC1) of a gate's output from its inputs' measures."""
+def _cheapest(values: List[float]) -> float:
+    return min(values) if values else INFINITY
 
-    def cheapest(values: List[float]) -> float:
-        return min(values) if values else INFINITY
 
-    def total(values: List[float]) -> float:
-        return sum(values) if values else INFINITY
+def _total(values: List[float]) -> float:
+    return sum(values) if values else INFINITY
 
-    if gate is GateType.CONST0:
-        return 0.0, INFINITY
-    if gate is GateType.CONST1:
-        return INFINITY, 0.0
-    if gate is GateType.BUF:
-        return fanin0[0] + 1, fanin1[0] + 1
-    if gate is GateType.NOT:
-        return fanin1[0] + 1, fanin0[0] + 1
-    if gate is GateType.AND:
-        return cheapest(fanin0) + 1, total(fanin1) + 1
-    if gate is GateType.NAND:
-        return total(fanin1) + 1, cheapest(fanin0) + 1
-    if gate is GateType.OR:
-        return total(fanin0) + 1, cheapest(fanin1) + 1
-    if gate is GateType.NOR:
-        return cheapest(fanin1) + 1, total(fanin0) + 1
-    if gate in (GateType.XOR, GateType.XNOR):
-        # Parity: cost of the cheapest input combination per parity.
-        even = 0.0
-        odd = INFINITY
-        for c0, c1 in zip(fanin0, fanin1):
-            new_even = min(even + c0, odd + c1)
-            new_odd = min(even + c1, odd + c0)
-            even, odd = new_even, new_odd
-        if gate is GateType.XOR:
-            return even + 1, odd + 1
-        return odd + 1, even + 1
-    raise AnalysisError(f"no SCOAP rule for gate {gate!r}")
+
+def _parity(fanin0: List[float], fanin1: List[float]) -> Tuple[float, float]:
+    """(even, odd): cost of the cheapest input combination per parity."""
+    even = 0.0
+    odd = INFINITY
+    for c0, c1 in zip(fanin0, fanin1):
+        new_even = min(even + c0, odd + c1)
+        new_odd = min(even + c1, odd + c0)
+        even, odd = new_even, new_odd
+    return even, odd
+
+
+def _xor(fanin0: List[float], fanin1: List[float]) -> Tuple[float, float]:
+    even, odd = _parity(fanin0, fanin1)
+    return even + 1, odd + 1
+
+
+def _xnor(fanin0: List[float], fanin1: List[float]) -> Tuple[float, float]:
+    even, odd = _parity(fanin0, fanin1)
+    return odd + 1, even + 1
+
+
+Rule = Callable[[List[float], List[float]], Tuple[float, float]]
+
+#: (CC0, CC1) of a gate's output from its inputs' measures.
+_CONTROLLABILITY: Dict[GateType, Rule] = {
+    GateType.CONST0: lambda f0, f1: (0.0, INFINITY),
+    GateType.CONST1: lambda f0, f1: (INFINITY, 0.0),
+    GateType.BUF: lambda f0, f1: (f0[0] + 1, f1[0] + 1),
+    GateType.NOT: lambda f0, f1: (f1[0] + 1, f0[0] + 1),
+    GateType.AND: lambda f0, f1: (_cheapest(f0) + 1, _total(f1) + 1),
+    GateType.NAND: lambda f0, f1: (_total(f1) + 1, _cheapest(f0) + 1),
+    GateType.OR: lambda f0, f1: (_total(f0) + 1, _cheapest(f1) + 1),
+    GateType.NOR: lambda f0, f1: (_cheapest(f1) + 1, _total(f0) + 1),
+    GateType.XOR: _xor,
+    GateType.XNOR: _xnor,
+}
 
 
 def scoap(
@@ -135,72 +138,86 @@ def scoap(
     path to them runs through the register itself.  Off by default: the
     classical measures the correlation study compares against do not
     credit reset.
+
+    Each sweep visits the nodes in declaration order, reading and
+    writing flat per-node arrays; fanin slots and gate rules are
+    resolved once, before the first sweep.
     """
     circuit.check()
     names = list(circuit.node_names())
-    cc0 = {n: INFINITY for n in names}
-    cc1 = {n: INFINITY for n in names}
-    sc0 = {n: INFINITY for n in names}
-    sc1 = {n: INFINITY for n in names}
+    slot = {name: i for i, name in enumerate(names)}
+    cc0 = [INFINITY] * len(names)
+    cc1 = [INFINITY] * len(names)
+    sc0 = [INFINITY] * len(names)
+    sc1 = [INFINITY] * len(names)
 
     for pi in circuit.inputs:
-        cc0[pi] = cc1[pi] = 1.0
-        sc0[pi] = sc1[pi] = 0.0
+        cc0[slot[pi]] = cc1[slot[pi]] = 1.0
+        sc0[slot[pi]] = sc1[slot[pi]] = 0.0
 
     if seed_reset:
         for dff in circuit.dffs():
             if dff.init in (0, 1):
                 target_c = cc1 if dff.init else cc0
                 target_s = sc1 if dff.init else sc0
-                target_c[dff.name] = 0.0
-                target_s[dff.name] = 0.0
+                target_c[slot[dff.name]] = 0.0
+                target_s[slot[dff.name]] = 0.0
+
+    # (node slot, fanin slots, gate rule); a DFF's rule is None.
+    plan: List[Tuple[int, Tuple[int, ...], Optional[Rule]]] = []
+    for node in circuit.nodes():
+        if node.kind is NodeKind.INPUT:
+            continue
+        rule = None
+        if node.kind is NodeKind.GATE:
+            rule = _CONTROLLABILITY.get(node.gate)
+            if rule is None:
+                raise AnalysisError(f"no SCOAP rule for gate {node.gate!r}")
+        plan.append((slot[node.name], tuple(slot[f] for f in node.fanin), rule))
 
     def relax() -> bool:
         changed = False
-        for node in circuit.nodes():
-            if node.kind is NodeKind.INPUT:
+        for out, fanin, rule in plan:
+            if rule is None:
+                # Loading a value costs its D-input controllability
+                # plus one sequential step.
+                driver = fanin[0]
+                value = cc0[driver]
+                if value < cc0[out]:
+                    cc0[out] = value
+                    changed = True
+                value = cc1[driver]
+                if value < cc1[out]:
+                    cc1[out] = value
+                    changed = True
+                value = sc0[driver] + 1
+                if value < sc0[out]:
+                    sc0[out] = value
+                    changed = True
+                value = sc1[driver] + 1
+                if value < sc1[out]:
+                    sc1[out] = value
+                    changed = True
                 continue
-            if node.kind is NodeKind.DFF:
-                driver = node.fanin[0]
-                # Loading a value costs its D-input controllability plus
-                # one sequential step.
-                candidates = (
-                    (cc0, cc0[driver]),
-                    (cc1, cc1[driver]),
-                )
-                for target, value in candidates:
-                    if value + 0 < target[node.name]:
-                        target[node.name] = value
-                        changed = True
-                for target, source in ((sc0, sc0), (sc1, sc1)):
-                    value = source[driver] + 1
-                    if value < target[node.name]:
-                        target[node.name] = value
-                        changed = True
-                continue
-            fanin0 = [cc0[f] for f in node.fanin]
-            fanin1 = [cc1[f] for f in node.fanin]
-            new0, new1 = _gate_controllabilities(node.gate, fanin0, fanin1)
-            if new0 < cc0[node.name]:
-                cc0[node.name] = new0
+            new0, new1 = rule([cc0[i] for i in fanin], [cc1[i] for i in fanin])
+            if new0 < cc0[out]:
+                cc0[out] = new0
                 changed = True
-            if new1 < cc1[node.name]:
-                cc1[node.name] = new1
+            if new1 < cc1[out]:
+                cc1[out] = new1
                 changed = True
-            sfanin0 = [sc0[f] for f in node.fanin]
-            sfanin1 = [sc1[f] for f in node.fanin]
-            snew0, snew1 = _gate_controllabilities(
-                node.gate, sfanin0, sfanin1
+            snew0, snew1 = rule(
+                [sc0[i] for i in fanin], [sc1[i] for i in fanin]
             )
             # Gates add no sequential depth: strip the +1 the
             # combinational rule added (clamp at 0).
             snew0 = max(0.0, snew0 - 1)
             snew1 = max(0.0, snew1 - 1)
-            if snew0 < sc0[node.name]:
-                sc0[node.name] = snew0
+            if snew0 < sc0[out]:
+                sc0[out] = snew0
                 changed = True
-            if snew1 < sc1[node.name]:
-                sc1[node.name] = snew1
+            if snew1 < sc1[out]:
+                sc1[out] = snew1
                 changed = True
         return changed
 
@@ -208,38 +225,44 @@ def scoap(
         if not relax():
             break
 
-    observability = _observabilities(circuit, cc0, cc1, max_iterations)
+    observability = _observabilities(circuit, slot, cc0, cc1, max_iterations)
     return ScoapReport(
-        cc0=cc0, cc1=cc1, sc0=sc0, sc1=sc1, observability=observability
+        cc0=dict(zip(names, cc0)),
+        cc1=dict(zip(names, cc1)),
+        sc0=dict(zip(names, sc0)),
+        sc1=dict(zip(names, sc1)),
+        observability=dict(zip(names, observability)),
     )
 
 
 def _observabilities(
     circuit: Circuit,
-    cc0: Dict[str, float],
-    cc1: Dict[str, float],
+    slot: Dict[str, int],
+    cc0: List[float],
+    cc1: List[float],
     max_iterations: int,
-) -> Dict[str, float]:
-    observability = {n: INFINITY for n in circuit.node_names()}
+) -> List[float]:
+    observability = [INFINITY] * len(slot)
     for po in circuit.outputs:
-        observability[po] = 0.0
+        observability[slot[po]] = 0.0
+    # (node slot, fanin slots, side-input cost per fanin position); the
+    # controllabilities are final, so the side costs are too.
+    plan = []
+    for node in circuit.nodes():
+        if node.kind is NodeKind.INPUT:
+            continue
+        fanin = tuple(slot[f] for f in node.fanin)
+        plan.append((slot[node.name], fanin, _side_costs(node.gate, fanin, cc0, cc1)))
 
     def relax() -> bool:
         changed = False
-        for node in circuit.nodes():
-            base = observability[node.name]
-            if node.kind is NodeKind.DFF:
-                driver = node.fanin[0]
-                value = base + 1
-                if value < observability[driver]:
-                    observability[driver] = value
-                    changed = True
+        for out, fanin, sides in plan:
+            base = observability[out]
+            if base >= INFINITY:
+                # Nothing observes this node yet: base + cost exceeds
+                # INFINITY, which no stored value does.
                 continue
-            if node.kind is not NodeKind.GATE:
-                continue
-            gate = node.gate
-            for position, driver in enumerate(node.fanin):
-                side = _side_inputs_cost(gate, node.fanin, position, cc0, cc1)
+            for driver, side in zip(fanin, sides):
                 value = base + side + 1
                 if value < observability[driver]:
                     observability[driver] = value
@@ -252,24 +275,29 @@ def _observabilities(
     return observability
 
 
-def _side_inputs_cost(
-    gate: GateType,
-    fanin: Tuple[str, ...],
-    position: int,
-    cc0: Dict[str, float],
-    cc1: Dict[str, float],
-) -> float:
-    """Cost of holding the other inputs at non-controlling values."""
-    others = [f for i, f in enumerate(fanin) if i != position]
-    if gate in (GateType.BUF, GateType.NOT):
-        return 0.0
+def _side_costs(
+    gate: Optional[GateType],
+    fanin: Tuple[int, ...],
+    cc0: List[float],
+    cc1: List[float],
+) -> List[float]:
+    """Per fanin position, the cost of holding the other inputs at
+    non-controlling values (a DFF, ``gate`` None, passes through)."""
+    if gate is None or gate in (GateType.BUF, GateType.NOT):
+        return [0.0] * len(fanin)
     if gate in (GateType.AND, GateType.NAND):
-        return sum(cc1[f] for f in others)
-    if gate in (GateType.OR, GateType.NOR):
-        return sum(cc0[f] for f in others)
-    if gate in (GateType.XOR, GateType.XNOR):
-        return sum(min(cc0[f], cc1[f]) for f in others)
-    return INFINITY  # constants: unobservable through
+        values = [cc1[i] for i in fanin]
+    elif gate in (GateType.OR, GateType.NOR):
+        values = [cc0[i] for i in fanin]
+    elif gate in (GateType.XOR, GateType.XNOR):
+        values = [min(cc0[i], cc1[i]) for i in fanin]
+    else:
+        return [INFINITY] * len(fanin)  # constants: unobservable through
+    # The others' measures summed in fanin order, as one sum().
+    return [
+        sum(values[:position] + values[position + 1:])
+        for position in range(len(values))
+    ]
 
 
 def testability_summary(circuit: Circuit) -> Dict[str, float]:

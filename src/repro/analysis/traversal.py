@@ -10,12 +10,11 @@ retimed) circuit.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Set, Tuple
 
 from ..atpg.result import AtpgResult, TestSet
 from ..circuit.netlist import Circuit
 from ..fault.simulator import FaultSimulator
-from .density import ReachableStates
+from .density import reachable_states
 
 
 @dataclasses.dataclass
@@ -39,13 +38,10 @@ class TraversalReport:
 
 
 def traversal_report(
-    circuit: Circuit,
-    atpg_result: AtpgResult,
-    reachable: Optional[ReachableStates] = None,
+    circuit: Circuit, atpg_result: AtpgResult
 ) -> TraversalReport:
     """Combine an ATPG run's traversal set with the valid-state count."""
-    if reachable is None:
-        reachable = ReachableStates(circuit)
+    reachable = reachable_states(circuit)
     report = reachable.report()
     traversed = {
         state

@@ -354,10 +354,10 @@ class HitecEngine:
         )
         self._good_sim = TernarySimulator(circuit)
         self._num_pis = len(circuit.inputs)
-        # One valid/invalid oracle per engine instance: the reachable
-        # set and every classification verdict are memoized across
-        # faults and across runs (the per-run observer only owns the
-        # tallies).
+        # One valid/invalid oracle per engine instance over the
+        # circuit's shared reachable set: every classification verdict
+        # is memoized across faults and across runs (the per-run
+        # observer only owns the tallies).
         self._classifier = StateClassifier(circuit)
 
     @property

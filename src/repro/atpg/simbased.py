@@ -101,9 +101,9 @@ class SimBasedEngine:
             circuit, metrics=registry, backend=self.options.sim_backend
         )
         self._num_pis = len(circuit.inputs)
-        # Shared valid/invalid oracle (memoized across runs); a fresh
-        # per-run observer streams every newly traversed state through
-        # it.  For this engine every traversed state is reachable by
+        # Valid/invalid oracle over the circuit's shared reachable set
+        # (verdicts memoized across runs); a fresh per-run observer
+        # streams every newly traversed state through it.  For this engine every traversed state is reachable by
         # construction, so its waste fraction is ~0 — the observatory's
         # control group against the structural engines.
         self._classifier = StateClassifier(circuit)

@@ -153,12 +153,14 @@ class Circuit:
 
     @property
     def structure_version(self) -> int:
-        """Monotone counter bumped on every structural mutation.
+        """Monotone counter bumped on every mutation: nodes, fanins,
+        outputs and register reset values.
 
-        Compiled simulation artifacts (see :mod:`repro.sim.compile`)
-        key their caches on ``(circuit object, structure_version)`` so
-        a netlist mutated after compilation recompiles transparently
-        instead of aliasing a stale evaluation plan.
+        Derived artifacts (compiled programs, reachable sets, lint
+        reports; see :mod:`repro.circuit.memo`) key their caches on
+        ``(circuit object, structure_version)`` so a netlist mutated
+        after analysis rebuilds them transparently instead of aliasing
+        a stale result.
         """
         return getattr(self, "_structure_version", 0)
 
@@ -200,6 +202,7 @@ class Circuit:
     def add_output(self, name: str) -> None:
         """Declare an existing (or forward-referenced) node as a PO."""
         self._outputs.append(name)
+        self._dirty()
 
     def _check_fresh(self, name: str) -> None:
         if not name:
@@ -236,6 +239,7 @@ class Circuit:
         if init not in (ZERO, ONE, X):
             raise CircuitError(f"dff {name!r}: init must be ternary, got {init!r}")
         node.init = init
+        self._dirty()
 
     def remove_node(self, name: str) -> None:
         """Remove a node nobody references (no fanout, not a PO)."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.density import ReachableStates
 from ..analysis.traversal import traversal_report
 from ..atpg.result import AtpgResult
 from ..circuit.netlist import Circuit
@@ -64,8 +63,7 @@ def build_table(rows: List[Dict]) -> Table:
 
 
 def _row(name: str, circuit: Circuit, result: AtpgResult) -> Dict:
-    reachable = ReachableStates(circuit)
-    report = traversal_report(circuit, result, reachable)
+    report = traversal_report(circuit, result)
     return {
         "circuit": name,
         "traversed": report.states_traversed,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..analysis.density import ReachableStates
 from ..analysis.traversal import simulate_test_set_on, traversal_report
 from .atpg_tables import PairRun, run_pair
 from .config import HarnessConfig
@@ -44,8 +43,7 @@ def row_for_run(run: PairRun) -> dict:
     """One Table 8 row: the retimed circuit's traversal versus the
     original circuit's carried-over test set."""
     retimed = run.pair.retimed_circuit
-    reachable = ReachableStates(retimed)
-    traversal = traversal_report(retimed, run.retimed, reachable)
+    traversal = traversal_report(retimed, run.retimed)
     cross = simulate_test_set_on(
         retimed,
         run.original.test_set,

@@ -271,6 +271,9 @@ class LintReport:
     # of to_dict() so ledger rows stay machine-independent; the obs
     # trace carries the same timings as span wall_ms metadata.
     rule_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
+    # Findings each rule emitted (truncated ones included), as counted
+    # into ``lint.findings``; lets a memoized report replay its metrics.
+    rule_findings: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
@@ -374,6 +377,7 @@ def run_lint(
     diagnostics: List[Diagnostic] = []
     ran: List[str] = []
     rule_seconds: Dict[str, float] = {}
+    rule_findings: Dict[str, int] = {}
     start = time.perf_counter()
 
     for rule_entry in selected:
@@ -418,6 +422,7 @@ def run_lint(
                 continue
         rule_seconds[rule_entry.rule_id] = time.perf_counter() - rule_start
         if emitted:
+            rule_findings[rule_entry.rule_id] = emitted
             obs.metrics.counter(
                 "lint.findings", rule=rule_entry.rule_id
             ).inc(emitted)
@@ -443,4 +448,26 @@ def run_lint(
         rules_run=tuple(ran),
         elapsed_seconds=time.perf_counter() - start,
         rule_seconds=rule_seconds,
+        rule_findings=rule_findings,
     )
+
+
+def replay_lint_observability(report: LintReport, obs: Observability) -> None:
+    """Emit the ``lint.rule`` spans and ``lint.findings`` /
+    ``lint.rules_run`` counters that :func:`run_lint` emitted when it
+    produced ``report``.
+
+    A reused report must look like a fresh run: whether this process
+    already linted the circuit is an execution accident (worker
+    processes have cold memos), and per-task observability must be
+    identical at every ``--jobs`` level.
+    """
+    for rule_id in report.rules_run:
+        with obs.trace.span(
+            "lint.rule", rule=rule_id, circuit=report.circuit_name
+        ):
+            pass
+        emitted = report.rule_findings.get(rule_id)
+        if emitted:
+            obs.metrics.counter("lint.findings", rule=rule_id).inc(emitted)
+    obs.metrics.counter("lint.rules_run").inc(len(report.rules_run))

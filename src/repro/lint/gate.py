@@ -22,11 +22,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, Hashable, List, Mapping, Optional, Tuple
 
+from ..circuit.memo import CircuitMemo
 from ..circuit.netlist import Circuit
 from ..errors import LintError
-from .core import LintConfig, LintReport, run_lint
+from .core import LintConfig, LintReport, replay_lint_observability, run_lint
 from .severity import Severity
 
 logger = logging.getLogger("repro.lint")
@@ -140,6 +141,12 @@ def gate_circuit(
     logs a one-line summary at WARNING and the individual findings at
     DEBUG.  Every non-OFF invocation is recorded in ``ledger``.
     ``obs`` is forwarded to :func:`run_lint` for per-rule spans/metrics.
+
+    Gates share one report per circuit (structure version) and config:
+    the post-synthesis and pre-ATPG gates, and every engine's pre-ATPG
+    gate on the same netlist, run the rules once.  A reused report
+    still gets its ledger stage, its strict-mode check and the spans
+    and counters a fresh run would have emitted.
     """
     mode = GateMode.parse(mode)
     if mode is GateMode.OFF:
@@ -148,9 +155,9 @@ def gate_circuit(
     stage = stage or f"lint:{circuit.name}"
     if obs is not None:
         with obs.trace.span("lint.gate", stage=stage):
-            report = run_lint(circuit, config, obs=obs)
+            report = _lint_memoized(circuit, config, obs)
     else:
-        report = run_lint(circuit, config)
+        report = _lint_memoized(circuit, config, obs=None)
     if ledger is not None:
         ledger.record(stage, report)
 
@@ -177,3 +184,35 @@ def gate_circuit(
             logging.WARNING if report.errors else logging.INFO, "%s", summary
         )
     return report
+
+
+_REPORTS: "CircuitMemo[Dict[Tuple[Hashable, ...], LintReport]]" = CircuitMemo()
+
+
+def _lint_memoized(
+    circuit: Circuit, config: LintConfig, obs
+) -> LintReport:
+    """:func:`run_lint` with the default rule set, memoized per circuit
+    version, circuit name and config field values."""
+    reports = _REPORTS.get(circuit, lambda _circuit: {})
+    key = (circuit.name, _config_key(config))
+    report = reports.get(key)
+    if report is None:
+        report = run_lint(circuit, config, obs=obs)
+        reports[key] = report
+    elif obs is not None:
+        replay_lint_observability(report, obs)
+    return report
+
+
+def _config_key(config: LintConfig) -> Tuple[Hashable, ...]:
+    """Hashable form of a config; equal field values give equal keys."""
+    key: List[Hashable] = []
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, Mapping):
+            value = tuple(sorted(value.items()))
+        elif isinstance(value, AbstractSet):
+            value = frozenset(value)
+        key.append(value)
+    return tuple(key)

@@ -212,14 +212,20 @@ class BddManager:
         path.  Exactly equivalent to materializing the cofactor and
         comparing against TRUE.
         """
-        return self._cofactor_is_true(by_level, f, {})
+        return self._cofactor_is(self.TRUE, by_level, f, {})
 
-    def _cofactor_is_true(
-        self, by_level: Dict[int, int], f: int, cache: Dict[int, bool]
+    def cofactor_is_false(self, f: int, by_level: Dict[int, int]) -> bool:
+        """Decide ``restrict(f, assignment) == FALSE``, i.e. whether
+        ``f`` and the cube ``assignment`` are disjoint, by the same
+        allocation-free traversal as :meth:`cofactor_is_true`."""
+        return self._cofactor_is(self.FALSE, by_level, f, {})
+
+    def _cofactor_is(
+        self, const: int, by_level: Dict[int, int], f: int, cache: Dict[int, bool]
     ) -> bool:
-        if f == self.TRUE:
+        if f == const:
             return True
-        if f == self.FALSE:
+        if f == self.TRUE or f == self.FALSE:
             return False
         cached = cache.get(f)
         if cached is not None:
@@ -228,13 +234,37 @@ class BddManager:
         bit = by_level.get(level)
         if bit is not None:
             branch = self._high[f] if bit else self._low[f]
-            result = self._cofactor_is_true(by_level, branch, cache)
+            result = self._cofactor_is(const, by_level, branch, cache)
         else:
-            result = self._cofactor_is_true(
-                by_level, self._low[f], cache
-            ) and self._cofactor_is_true(by_level, self._high[f], cache)
+            result = self._cofactor_is(
+                const, by_level, self._low[f], cache
+            ) and self._cofactor_is(const, by_level, self._high[f], cache)
         cache[f] = result
         return result
+
+    def transfer(self, f: int, target: "BddManager") -> int:
+        """Rebuild ``f`` inside ``target``, which must declare every
+        support variable of ``f`` in the same relative order.
+
+        Only the nodes reachable from ``f`` are copied, so a function
+        moved into a fresh manager leaves behind every intermediate
+        node and operation cache of the computation that produced it.
+        """
+        copies: Dict[int, int] = {self.FALSE: target.FALSE, self.TRUE: target.TRUE}
+
+        def copy(node: int) -> int:
+            result = copies.get(node)
+            if result is None:
+                level = target.level_of(self._var_names[self._level[node]])
+                low = copy(self._low[node])
+                high = copy(self._high[node])
+                if level >= target._level[low] or level >= target._level[high]:
+                    raise BddError("target manager orders the support differently")
+                result = target._mk(level, low, high)
+                copies[node] = result
+            return result
+
+        return copy(f)
 
     # -- evaluation & counting --------------------------------------------------------
 

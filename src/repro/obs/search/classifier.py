@@ -3,11 +3,12 @@
 The paper's §5 mechanism — structural ATPG wasting its backward search
 in the unreachable part of the state space — becomes measurable once
 every state the search touches is classified against the circuit's
-valid (reachable) set.  One :class:`StateClassifier` serves one
-circuit: it builds the symbolic reachable set lazily on first use and
-memoizes every verdict, so an engine run pays one BDD fixpoint per
-circuit (shared across all faults) plus one cheap intersection per
-*distinct* cube.
+valid (reachable) set.  One :class:`StateClassifier` serves one engine
+on one circuit: on first use it fetches the circuit's shared symbolic
+reachable set (:func:`repro.analysis.density.reachable_states`, the
+same fixpoint lint and Tables 6-8 read) and memoizes every verdict, so
+the BDD fixpoint is paid once per circuit — not per engine, run or
+fault — plus one cheap intersection per *distinct* cube.
 
 Two classification granularities:
 
@@ -75,14 +76,12 @@ class StateClassifier:
         # deferring to first use keeps `import repro.obs.search` safe
         # from any entry point.
         from ...analysis.density import (
-            ReachableStates,
             explicit_valid_states,
+            reachable_states,
         )
 
         try:
-            reachable = ReachableStates(self.circuit)
-            reachable.reachable_bdd()  # force the fixpoint now
-            self._reachable = reachable
+            self._reachable = reachable_states(self.circuit)
             return
         except (AnalysisError, ReproError, RecursionError):
             self._reachable = None

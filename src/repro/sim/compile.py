@@ -46,11 +46,11 @@ simulation without a third value system.
 from __future__ import annotations
 
 import functools
-import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.gates import D, DBAR, ONE, X, ZERO, GateType, ternary_xor
 from ..circuit.graph import topological_order
+from ..circuit.memo import CircuitMemo, clear_circuit_memos
 from ..circuit.netlist import Circuit, NodeKind
 from ..errors import SimulationError
 
@@ -468,9 +468,7 @@ class CompiledProgram:
 # Per-circuit program cache.
 # --------------------------------------------------------------------------
 
-_PROGRAM_CACHE: "weakref.WeakKeyDictionary[Circuit, Tuple[int, CompiledProgram]]" = (
-    weakref.WeakKeyDictionary()
-)
+_PROGRAMS: CircuitMemo[CompiledProgram] = CircuitMemo()
 
 
 def compiled_program_cached(circuit: Circuit) -> CompiledProgram:
@@ -483,19 +481,15 @@ def compiled_program_cached(circuit: Circuit) -> CompiledProgram:
     so mutating a circuit (synthesis cleanup, retiming) transparently
     recompiles on next use instead of aliasing a stale plan.
     """
-    cached = _PROGRAM_CACHE.get(circuit)
-    version = circuit.structure_version
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    program = CompiledProgram(circuit)
-    _PROGRAM_CACHE[circuit] = (version, program)
-    return program
+    return _PROGRAMS.get(circuit, CompiledProgram)
 
 
 def clear_program_cache() -> None:
-    """Drop all cached compiled programs (tests and the suite-level
-    :func:`repro.harness.suite.clear_caches` use this)."""
-    _PROGRAM_CACHE.clear()
+    """Drop all cached compiled programs, together with every other
+    per-circuit memo (reachable sets, lint reports; see
+    :mod:`repro.circuit.memo`).  Tests and the suite-level
+    :func:`repro.harness.suite.clear_caches` use this."""
+    clear_circuit_memos()
 
 
 # --------------------------------------------------------------------------

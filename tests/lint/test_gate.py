@@ -13,7 +13,11 @@ from repro.lint import (
     LintLedger,
     Severity,
     gate_circuit,
+    run_lint,
 )
+from repro.lint import gate as gate_module
+from repro.obs import Observability, canonical_lines
+from repro.sim.compile import clear_program_cache
 from repro.synth.synthesize import synthesize
 
 
@@ -117,3 +121,96 @@ class TestPipelineWiring:
         )
         with pytest.raises(LintError, match="pre-atpg:sealed"):
             run_engine_on_circuit(broken_circuit(), "simbased", config)
+
+
+def many_dead_inputs_circuit():
+    """Three disconnected inputs: one rule emitting several findings."""
+    builder = CircuitBuilder("deadins")
+    a = builder.input("a")
+    builder.inputs("b", "c", "d")
+    builder.output(builder.not_(a, name="out"))
+    return builder.build(check=False)
+
+
+class TestReportMemo:
+    """Gates on one circuit version and config share one LintReport."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memos(self):
+        clear_program_cache()
+
+    def count_runs(self, monkeypatch):
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args[0])
+            return run_lint(*args, **kwargs)
+
+        monkeypatch.setattr(gate_module, "run_lint", counting)
+        return runs
+
+    def test_hit_replays_observability(self, monkeypatch):
+        runs = self.count_runs(monkeypatch)
+        config = LintConfig(max_findings_per_rule=1)
+        circuit = many_dead_inputs_circuit()
+
+        def two_gates(clear_between):
+            clear_program_cache()
+            obs = Observability.recording()
+            ledger = LintLedger()
+            reports = []
+            for stage in ("post-synthesis:x", "pre-atpg:x"):
+                reports.append(
+                    gate_circuit(
+                        circuit, stage=stage, config=config, ledger=ledger, obs=obs
+                    )
+                )
+                if clear_between:
+                    clear_program_cache()
+            assert [entry.stage for entry in ledger.entries] == [
+                "post-synthesis:x",
+                "pre-atpg:x",
+            ]
+            return obs, reports
+
+        cached_obs, cached = two_gates(clear_between=False)
+        assert len(runs) == 1 and cached[0] is cached[1]
+        uncached_obs, uncached = two_gates(clear_between=True)
+        assert len(runs) == 3 and uncached[0] is not uncached[1]
+        assert canonical_lines(cached_obs.trace.export()) == canonical_lines(
+            uncached_obs.trace.export()
+        )
+        assert cached_obs.metrics.dump() == uncached_obs.metrics.dump()
+        findings = {
+            key: value
+            for key, value in cached_obs.metrics.dump().items()
+            if key.startswith("lint.findings")
+        }
+        # DRC005 emitted three findings, one stored plus a truncation note.
+        assert findings["lint.findings{rule=DRC005}"] == 6
+
+    def test_strict_raises_on_a_hit(self, monkeypatch):
+        runs = self.count_runs(monkeypatch)
+        circuit = broken_circuit()
+        gate_circuit(circuit, mode="warn", ledger=None)
+        with pytest.raises(LintError, match="DRC004"):
+            gate_circuit(circuit, mode="strict", ledger=None)
+        assert len(runs) == 1
+
+    def test_config_values_circuit_version_and_clears_key_the_memo(
+        self, monkeypatch
+    ):
+        runs = self.count_runs(monkeypatch)
+        circuit = warny_circuit()
+        gate_circuit(circuit, ledger=None)
+        gate_circuit(circuit, config=LintConfig(), ledger=None)
+        gate_circuit(circuit, config=LintConfig(disabled=frozenset()), ledger=None)
+        assert len(runs) == 1
+        gate_circuit(circuit, config=LintConfig(max_depth=3), ledger=None)
+        assert len(runs) == 2
+        circuit.add_output("a")
+        gate_circuit(circuit, ledger=None)
+        assert len(runs) == 3
+        clear_program_cache()
+        gate_circuit(circuit, ledger=None)
+        assert len(runs) == 4

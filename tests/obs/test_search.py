@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import ReachableStates, explicit_valid_states
+from repro.analysis import ReachableStates, explicit_valid_states, reachable_states
 from repro.atpg import (
     EffortBudget,
     HitecEngine,
@@ -18,6 +18,7 @@ from repro.atpg.learning import IllegalStateCache
 from repro.atpg.podem import SearchMeter
 from repro.atpg.result import Stopwatch
 from repro.circuit.gates import X
+from repro.errors import AnalysisError
 from repro.obs import MetricsRegistry
 from repro.obs.search import (
     NULL_SEARCH_OBSERVER,
@@ -72,6 +73,57 @@ class TestClassifier:
         classifier._reachable = None
         classifier._explicit = None
         assert classifier.classify_cube({0: 1}) is True
+
+    def test_classifiers_share_the_circuits_reachable_set(self, two_bit_counter):
+        first, second = StateClassifier(two_bit_counter), StateClassifier(two_bit_counter)
+        assert first.available and second.available
+        assert first._reachable is second._reachable
+        assert first._reachable is reachable_states(two_bit_counter)
+
+    def test_unknown_reset_leaves_verdicts_unclassified(self):
+        """No reset state: neither the BDD fixpoint nor the explicit
+        traversal applies, so every verdict is None."""
+        from repro.circuit import CircuitBuilder
+
+        builder = CircuitBuilder("noreset")
+        a = builder.input("a")
+        builder.output(builder.dff(builder.xor(a, "q"), init=X, name="q"))
+        classifier = StateClassifier(builder.build())
+        assert not classifier.available
+        assert classifier.num_valid_states() is None
+        assert classifier.classify_state((0,)) is None
+        assert classifier.classify_cube({0: 1}) is None
+
+    @given(st.integers(min_value=0, max_value=80))
+    @settings(max_examples=10, deadline=None)
+    def test_explicit_fallback_when_the_fixpoint_fails(self, seed):
+        """A circuit the BDD engine rejects is classified by explicit
+        breadth-first search, with the same verdicts."""
+        from repro.analysis import density
+
+        circuit = random_circuit(seed, num_inputs=3, num_gates=10, num_dffs=3)
+        valid = explicit_valid_states(circuit)
+
+        def refuse(_circuit):
+            raise AnalysisError("fixpoint unavailable")
+
+        original = density.reachable_states
+        density.reachable_states = refuse
+        try:
+            classifier = StateClassifier(circuit)
+            assert classifier.available
+        finally:
+            density.reachable_states = original
+        assert classifier._reachable is None
+        assert classifier.num_valid_states() == len(valid)
+        for bits in itertools.product((0, 1), repeat=3):
+            assert classifier.classify_state(bits) == (bits in valid)
+        for cube in all_cubes(3):
+            expected = any(
+                all(state[pos] == val for pos, val in cube.items())
+                for state in valid
+            )
+            assert classifier.classify_cube(cube) == expected
 
 
 class TestObserver:
