@@ -29,14 +29,12 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
 )
 
-from repro.harness.ledger import LEDGER_NAME, completed_by_key, load_records
-from repro.obs import (
-    TRACE_NAME,
-    merge_dumps,
-    read_trace_jsonl,
-    render_metrics_summary,
-    render_rollup,
+from repro.harness.ledger import (
+    LEDGER_NAME,
+    load_records,
+    render_merged_metrics,
 )
+from repro.obs import TRACE_NAME, read_trace_jsonl, render_rollup
 from repro.obs.cli import CliError, find_run_file, run_main
 
 # Kept as an alias: TraceError predates the shared CLI helper.
@@ -120,18 +118,10 @@ def main(argv=None) -> int:
     ledger_file = os.path.join(os.path.dirname(trace_file), LEDGER_NAME)
     if os.path.isfile(ledger_file):
         records, _ = load_records(ledger_file)
-        dumps = [
-            record.metrics
-            for record in completed_by_key(records).values()
-            if record.metrics
-        ]
-        if dumps:
+        metrics = render_merged_metrics(records)
+        if metrics:
             print()
-            print(
-                render_metrics_summary(
-                    merge_dumps(dumps), title="Metrics (all tasks merged)"
-                )
-            )
+            print(metrics)
     return 0
 
 

@@ -51,9 +51,6 @@ class ScoapReport:
     sc1: Dict[str, float]
     observability: Dict[str, float]
 
-    def controllability_of(self, name: str, value: int) -> float:
-        return (self.cc1 if value else self.cc0)[name]
-
     def hardest_lines(self, count: int = 10) -> List[Tuple[str, float]]:
         """Lines with the worst (largest finite) max-controllability."""
         scored = []

@@ -26,6 +26,7 @@ from .result import (
     AtpgResult,
     Checkpoint,
     EffortBudget,
+    FaultBook,
     Stopwatch,
     TestSet,
     WorkClock,
@@ -73,6 +74,7 @@ __all__ = [
     "Checkpoint",
     "EffortBudget",
     "ENGINES",
+    "FaultBook",
     "EngineSpec",
     "FaultPodem",
     "HitecEngine",

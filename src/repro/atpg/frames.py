@@ -141,10 +141,6 @@ class UnrolledModel:
         return len(self._program.dff_out_slots)
 
     @property
-    def num_pos(self) -> int:
-        return len(self._program.output_slots)
-
-    @property
     def num_nodes(self) -> int:
         return self._program.num_slots
 
@@ -155,12 +151,6 @@ class UnrolledModel:
 
     def index_of(self, name: str) -> int:
         return self._program.index[name]
-
-    def name_of(self, index: int) -> str:
-        return self._program.order[index]
-
-    def pi_indices(self) -> Sequence[int]:
-        return self._program.input_slots
 
     def po_indices(self) -> Sequence[int]:
         return self._program.output_slots

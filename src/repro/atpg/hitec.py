@@ -53,18 +53,16 @@ from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
 from ..errors import AtpgError
 from ..fault.collapse import collapse_faults
-from ..fault.model import Fault, FaultStatus
+from ..fault.model import Fault
 from ..fault.simulator import FaultSimulator
-from ..obs import Observability, annotate
+from ..obs import Observability
 from ..obs.coverage import (
     ABORT_FRAME_LIMIT,
     ABORT_TIME_BUDGET,
-    NULL_COVERAGE_OBSERVER,
-    CoverageObserver,
     PROV_FAULT_DROP,
     PROV_RANDOM_PHASE,
 )
-from ..obs.search import NULL_SEARCH_OBSERVER, SearchObserver, StateClassifier
+from ..obs.search import SearchObserver, StateClassifier
 from ..sim.logicsim import TernarySimulator
 from .._util import make_rng
 from .frames import UnrolledModel
@@ -72,8 +70,8 @@ from .learning import IllegalStateCache, cube_key
 from .podem import FaultPodem, JustifyPodem, SearchMeter
 from .result import (
     AtpgResult,
-    Checkpoint,
     EffortBudget,
+    FaultBook,
     Stopwatch,
     TestSet,
     WorkClock,
@@ -111,9 +109,9 @@ class Justifier:
         budget: EffortBudget,
         learning: Optional[IllegalStateCache],
         states_seen: Set[State],
+        observer: SearchObserver,
         fill_seed: int = 31,
         trace=None,
-        observer=NULL_SEARCH_OBSERVER,
     ):
         self.circuit = circuit
         self.budget = budget
@@ -141,7 +139,6 @@ class Justifier:
         # One single-frame fault-free model per recursion depth, reused
         # across faults (model compilation is not free).
         self._model_pool: List[UnrolledModel] = []
-        self.cubes_examined = 0
 
     # -- knowledge maintenance ------------------------------------------------
 
@@ -166,12 +163,6 @@ class Justifier:
             self.states_seen.add(key)
 
     # -- queries ------------------------------------------------------------------
-
-    def compatible_with_reset(self, cube: Dict[int, int]) -> bool:
-        return all(
-            self._reset_state[position] == value
-            for position, value in cube.items()
-        )
 
     def _known_prefix(self, cube: Dict[int, int]) -> Optional[List[Vector]]:
         best: Optional[List[Vector]] = None
@@ -204,7 +195,6 @@ class Justifier:
         meter: SearchMeter,
         path: List[Tuple[Tuple[int, int], ...]],
     ) -> Tuple[Optional[List[Vector]], bool]:
-        self.cubes_examined += 1
         self._record_state(cube)
         self.observer.observe_cube(cube)
         known = self._known_prefix(cube)
@@ -333,18 +323,6 @@ class HitecEngine:
         self.obs = obs if obs is not None else Observability()
         labels = {"engine": self.name, "circuit": circuit.name}
         registry = self.obs.metrics
-        self._ctr_backtracks = registry.counter("atpg.backtracks", **labels)
-        self._ctr_frames = registry.counter("atpg.frames_expanded", **labels)
-        self._ctr_detected = registry.counter(
-            "atpg.faults_detected", **labels
-        )
-        self._ctr_redundant = registry.counter(
-            "atpg.faults_redundant", **labels
-        )
-        self._ctr_aborted = registry.counter("atpg.faults_aborted", **labels)
-        self._hist_fault_backtracks = registry.histogram(
-            "atpg.fault_backtracks", **labels
-        )
         self.learning_cache = (
             IllegalStateCache(metrics=registry, **labels) if learning else None
         )
@@ -388,193 +366,98 @@ class HitecEngine:
         clock: Optional[WorkClock],
         trace,
     ) -> AtpgResult:
-        statuses = {fault: FaultStatus(fault) for fault in faults}
         test_set = TestSet()
-        checkpoints: List[Checkpoint] = []
         states_seen: Set[State] = set()
-        observer = SearchObserver(
-            self._classifier,
-            self.obs.metrics,
-            engine=self.name,
-            circuit=self.circuit.name,
-        )
-        coverage = CoverageObserver(
-            self.obs.metrics,
-            engine=self.name,
-            circuit=self.circuit.name,
-        )
+        labels = {"engine": self.name, "circuit": self.circuit.name}
+        observer = SearchObserver(self._classifier, self.obs.metrics, **labels)
         justifier = Justifier(
             self.circuit,
             self.budget,
             self.learning_cache,
             states_seen,
+            observer,
             trace=trace,
-            observer=observer,
         )
         total_watch = Stopwatch(self.budget.total_seconds, clock=clock)
+        book = FaultBook(
+            faults,
+            total_watch,
+            self._simulator.events_counter,
+            observer,
+            self.obs.metrics,
+            searches=True,
+            **labels,
+        )
         sim_events_start = self._simulator.events_counter.value
-        detected = redundant = processed = 0
-        backtracks = frames_expanded = 0
-        total = len(statuses)
 
         # Phase 0: random test generation.  Detects the easy faults at
         # fault-simulation cost and seeds the justifier's known-state
         # database with every state the kept sequences drive through.
         with trace.span("atpg.random_phase"):
-            detected += self._random_phase(
-                statuses,
-                test_set,
-                justifier,
-                states_seen,
-                total_watch,
-                coverage,
+            self._random_phase(
+                book, test_set, justifier, states_seen, total_watch
             )
-        self._ctr_detected.inc(detected)
-        processed += detected
-        checkpoints.append(
-            Checkpoint(
-                cpu_seconds=total_watch.elapsed(),
-                detected=detected,
-                redundant=0,
-                processed=processed,
-                total=total,
-            )
-        )
+        checkpoints = [book.checkpoint()]
 
         for fault in faults:
-            status = statuses[fault]
-            if not status.is_open():
+            if not book.is_open(fault):
                 continue
             if total_watch.expired():
-                status.state = "aborted"
-                self._ctr_aborted.inc()
-                coverage.note_abort(
-                    fault, ABORT_TIME_BUDGET, elapsed=total_watch.elapsed()
-                )
-                processed += 1
+                book.abort(fault, ABORT_TIME_BUDGET)
                 continue
-            observer.begin_fault()
-            coverage.begin_fault(
-                fault, sim_events=self._simulator.events_counter.value
-            )
-            with trace.span("atpg.fault", fault=str(fault)) as fault_span:
+            with book.target(fault, trace) as scope:
                 outcome = self._process_fault(fault, justifier, total_watch)
-                valid_seen, invalid_seen = observer.end_fault(
-                    outcome.backtracks
-                )
-                annotate(
-                    fault_span,
-                    search_valid=valid_seen,
-                    search_invalid=invalid_seen,
-                )
-            processed += 1
-            backtracks += outcome.backtracks
-            frames_expanded += outcome.frames_expanded
-            self._ctr_frames.inc(outcome.frames_expanded)
-            self._hist_fault_backtracks.observe(outcome.backtracks)
+            detected_by = None
             if outcome.state == "detected":
-                status.state = "detected"
-                status.detected_by = len(test_set)
+                detected_by = len(test_set)
                 test_set.add(outcome.sequence)
-                detected += 1
-                self._ctr_detected.inc()
                 justifier.remember_trace(self._good_sim, outcome.sequence)
                 # Fault dropping: run the new sequence over open faults.
-                open_faults = [
-                    f for f, s in statuses.items() if s.is_open()
-                ]
                 total_watch.charge(_COST_SEQUENCE_SIM)
                 with trace.span("sim.fault_drop"):
                     report = self._simulator.run(
-                        [outcome.sequence], faults=open_faults
+                        [outcome.sequence], faults=book.open_faults()
                     )
                 states_seen |= report.states_traversed
-                # Close the targeted record after the drop pass, so the
-                # drop-simulation events charge to the detecting fault.
-                coverage.end_fault(
-                    fault,
-                    "detected",
-                    detected_by=status.detected_by,
-                    backtracks=outcome.backtracks,
-                    frames=outcome.frames_expanded,
-                    sim_events=self._simulator.events_counter.value,
-                    elapsed=total_watch.elapsed(),
-                )
-                for dropped in report.detected:
-                    statuses[dropped].state = "detected"
-                    statuses[dropped].detected_by = len(test_set) - 1
-                    detected += 1
-                    self._ctr_detected.inc()
-                    processed += 1
-                    coverage.note_incidental(
-                        dropped,
-                        PROV_FAULT_DROP,
-                        len(test_set) - 1,
-                        elapsed=total_watch.elapsed(),
-                    )
-            elif outcome.state == "redundant":
-                status.state = "redundant"
-                redundant += 1
-                self._ctr_redundant.inc()
-                coverage.end_fault(
-                    fault,
-                    "redundant",
-                    backtracks=outcome.backtracks,
-                    frames=outcome.frames_expanded,
-                    sim_events=self._simulator.events_counter.value,
-                    elapsed=total_watch.elapsed(),
-                )
-            else:
-                status.state = "aborted"
-                self._ctr_aborted.inc()
-                coverage.end_fault(
-                    fault,
-                    "aborted",
-                    abort_reason=outcome.abort_reason,
-                    backtracks=outcome.backtracks,
-                    frames=outcome.frames_expanded,
-                    sim_events=self._simulator.events_counter.value,
-                    elapsed=total_watch.elapsed(),
-                )
-            checkpoints.append(
-                Checkpoint(
-                    cpu_seconds=total_watch.elapsed(),
-                    detected=detected,
-                    redundant=redundant,
-                    processed=processed,
-                    total=total,
-                )
+            # A detecting record closes after the drop pass (its events
+            # charge to this fault) and before the faults it dropped.
+            scope.close(
+                outcome.state,
+                outcome.backtracks,
+                outcome.frames_expanded,
+                abort_reason=outcome.abort_reason,
+                detected_by=detected_by,
             )
+            if detected_by is not None:
+                for dropped in report.detected:
+                    book.detected(dropped, PROV_FAULT_DROP, detected_by)
+            checkpoints.append(book.checkpoint())
 
         return AtpgResult(
             circuit_name=self.circuit.name,
             engine=self.name,
-            statuses=statuses,
+            statuses=book.statuses(),
             test_set=test_set,
             cpu_seconds=total_watch.elapsed(),
             checkpoints=checkpoints,
             states_traversed=states_seen,
             states_examined=justifier.states_examined,
-            backtracks=backtracks,
-            frames_expanded=frames_expanded,
             sim_events=self._simulator.events_counter.value
             - sim_events_start,
             search_counters=observer.counters(),
-            fault_records=coverage.records(),
+            fault_records=book.records(),
         )
 
     def _random_phase(
         self,
-        statuses: Dict[Fault, FaultStatus],
+        book: FaultBook,
         test_set: TestSet,
         justifier: Justifier,
         states_seen: Set[State],
         total_watch: Stopwatch,
-        coverage=NULL_COVERAGE_OBSERVER,
-    ) -> int:
-        """Greedy random-sequence selection; returns #faults detected."""
-        detected = 0
-        open_faults = [f for f, s in statuses.items() if s.is_open()]
+    ) -> None:
+        """Greedy random-sequence selection."""
+        open_faults = book.open_faults()
         for _ in range(self.budget.random_sequences):
             if not open_faults:
                 break
@@ -590,17 +473,8 @@ class HitecEngine:
             test_set.add(sequence)
             justifier.remember_trace(self._good_sim, sequence)
             for fault in report.detected:
-                statuses[fault].state = "detected"
-                statuses[fault].detected_by = len(test_set) - 1
-                detected += 1
-                coverage.note_incidental(
-                    fault,
-                    PROV_RANDOM_PHASE,
-                    len(test_set) - 1,
-                    elapsed=total_watch.elapsed(),
-                )
+                book.detected(fault, PROV_RANDOM_PHASE, len(test_set) - 1)
             open_faults = [f for f in open_faults if f not in report.detected]
-        return detected
 
     # -- per-fault search -------------------------------------------------------
 
@@ -614,7 +488,6 @@ class HitecEngine:
             self.budget.max_backtracks,
             self.budget.per_fault_seconds,
             total_watch,
-            counter=self._ctr_backtracks,
         )
         model = UnrolledModel(
             self.circuit, fault, max_frames=self.budget.max_frames

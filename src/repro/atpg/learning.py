@@ -17,7 +17,7 @@ it, the HITEC engine does not, and a dedicated benchmark flips it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs import Counter, MetricsRegistry
 
@@ -69,11 +69,6 @@ class LearningStats:
     @property
     def misses(self) -> int:
         return self._misses.value
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def note_learned(self) -> None:
         self._learned.inc()

@@ -17,7 +17,7 @@ aborted-fault accounting hangs on.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..circuit.gates import (
     D,
@@ -37,11 +37,8 @@ from .result import Stopwatch
 class SearchMeter:
     """Shared effort accounting: backtracks and deadlines.
 
-    ``counter`` is an obs :class:`~repro.obs.Counter` (typically
-    ``atpg.backtracks{engine=...,circuit=...}``) mirroring the local
-    ``backtracks`` tally into the run's metrics registry; the local
-    field stays authoritative for budget enforcement and per-fault
-    deltas.
+    One meter serves one fault's search; its ``backtracks`` total goes
+    into the fault's :class:`~repro.atpg.result.FaultBook` record.
     """
 
     def __init__(
@@ -49,7 +46,6 @@ class SearchMeter:
         max_backtracks: int,
         per_fault_seconds: float,
         total_watch: Optional[Stopwatch] = None,
-        counter=None,
     ):
         self.max_backtracks = max_backtracks
         self.backtracks = 0
@@ -58,13 +54,10 @@ class SearchMeter:
         clock = total_watch.clock if total_watch is not None else None
         self._fault_watch = Stopwatch(per_fault_seconds, clock=clock)
         self._total_watch = total_watch
-        self._counter = counter
 
     def charge_backtrack(self) -> bool:
         """Count one backtrack; False when the budget is exhausted."""
         self.backtracks += 1
-        if self._counter is not None:
-            self._counter.inc()
         self._fault_watch.charge(1)
         return not self.exhausted()
 

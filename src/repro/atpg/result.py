@@ -18,12 +18,17 @@ efficiency, exactly as the paper's 12-hour manual-halt rule did.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from collections import Counter as Tally
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..fault.model import CoverageSummary, Fault, FaultStatus, summarize
+from ..obs import MetricsRegistry, annotate
+from ..obs.coverage import ABORT_REASONS, PROV_TARGETED
 from ..obs.coverage.report import lifecycle_counter_block
+from ..obs.search import FAULT_DWELL_BUCKETS, SearchObserver
 
 
 @dataclasses.dataclass
@@ -146,7 +151,6 @@ class AtpgResult:
     cpu_seconds: float
     checkpoints: List[Checkpoint]
     states_traversed: Set[Tuple[int, ...]]
-    backtracks: int = 0
     # Fully-specified states the backward justification examined (a
     # superset indicator of wasted work in invalid state space; the
     # traversed set above counts states the good machine actually
@@ -154,23 +158,36 @@ class AtpgResult:
     states_examined: Set[Tuple[int, ...]] = dataclasses.field(
         default_factory=set
     )
-    # Time-frame windows the deterministic search expanded, summed over
-    # faults (the runner's ledger reports this as "frames expanded").
-    frames_expanded: int = 0
     # Machine-step events the fault simulator processed on this run's
     # behalf (random phase, validation, fault dropping).
     sim_events: int = 0
-    # ``search.*`` tallies from the search-state observatory (empty when
-    # the run's observer was the null one or no oracle was available).
+    # ``search.*`` tallies from the search-state observatory.
     search_counters: Dict[str, int] = dataclasses.field(
         default_factory=dict
     )
-    # Per-fault lifecycle records from the coverage observatory, in
-    # resolution order (see repro.obs.coverage — one dict per resolved
-    # fault: outcome, provenance, abort reason, effort deltas).
+    # The run's :class:`FaultBook` records, in resolution order: one
+    # dict per targeted fault (outcome, provenance, abort reason,
+    # effort).  ``atpg.faults_*``, backtracks and frames derive from
+    # them.
     fault_records: List[Dict[str, Any]] = dataclasses.field(
         default_factory=list
     )
+    # Counters of a full-universe expansion (``cover.*``,
+    # ``sim.expansion_events``, ``collapse.*``; see
+    # repro.fault.analysis.expand_result), merged into counters().
+    expansion_counters: Dict[str, float] = dataclasses.field(
+        default_factory=dict
+    )
+
+    @property
+    def backtracks(self) -> int:
+        """PODEM backtracks, summed over the fault records."""
+        return sum(record["backtracks"] for record in self.fault_records)
+
+    @property
+    def frames_expanded(self) -> int:
+        """Time-frame windows the deterministic search expanded."""
+        return sum(record["frames"] for record in self.fault_records)
 
     def summary(self) -> CoverageSummary:
         return summarize(self.statuses.values())
@@ -179,14 +196,17 @@ class AtpgResult:
         """Flat JSON-able effort/outcome counters for the run ledger.
 
         Keys follow the obs dotted naming convention (see DESIGN.md
-        "Metric naming"); ledger rows store them verbatim.
+        "Metric naming"); ledger rows store them verbatim.  The
+        ``atpg.faults_*`` outcomes count the engine's own records, so
+        they keep their target-list meaning after an expansion widens
+        ``statuses`` to the full fault universe.
         """
-        summary = self.summary()
+        outcomes = Tally(record["outcome"] for record in self.fault_records)
         counters: Dict[str, float] = {
-            "atpg.faults_total": summary.total,
-            "atpg.faults_detected": summary.detected,
-            "atpg.faults_redundant": summary.redundant,
-            "atpg.faults_aborted": summary.aborted,
+            "atpg.faults_total": len(self.fault_records),
+            "atpg.faults_detected": outcomes["detected"],
+            "atpg.faults_redundant": outcomes["redundant"],
+            "atpg.faults_aborted": outcomes["aborted"],
             "atpg.backtracks": self.backtracks,
             "atpg.frames_expanded": self.frames_expanded,
             "atpg.states_traversed": len(self.states_traversed),
@@ -201,6 +221,7 @@ class AtpgResult:
             for key in sorted(self.search_counters)
         )
         counters.update(lifecycle_counter_block(self.fault_records))
+        counters.update(self.expansion_counters)
         return counters
 
     @property
@@ -269,3 +290,234 @@ class Stopwatch:
 
     def expired(self) -> bool:
         return self.elapsed() >= self._limit
+
+
+class FaultBook:
+    """One engine run's fault records: the single place outcomes live.
+
+    Every fault on the run's target list closes exactly one record —
+    detected by its own search or incidentally by another sequence
+    (fault dropping, the random phase, bred batches), proven
+    redundant, or aborted with an ``ABORT_*`` taxonomy reason:
+
+    ================  ==================================================
+    ``fault``         the fault, as ``repro.fault.model.Fault`` spells it
+    ``order``         resolution index within the run (0-based)
+    ``outcome``       ``detected`` | ``redundant`` | ``aborted``
+    ``provenance``    how it resolved (``repro.obs.coverage`` ``PROV_*``)
+    ``abort_reason``  the ``ABORT_*`` taxonomy entry, or None
+    ``detected_by``   detecting test-sequence index, or None
+    ``backtracks``    PODEM backtracks of the fault's own search
+    ``frames``        time-frame windows its search expanded
+    ``sim_events``    fault-simulator machine-steps inside its scope
+    ``cpu_seconds``   run-clock seconds when the record closed
+    ================  ==================================================
+
+    Statuses, checkpoints, the engine's outcome and effort metrics and
+    the ``lifecycle.*`` counters are all read from these records.
+    ``watch`` stamps every record, ``sim_events`` is the fault
+    simulator's event counter and ``search`` the run's search-state
+    observer (the scopes mark both).  The
+    book registers the metric keys of the engine family it serves:
+    ``searches=False`` (simulation-based engines) leaves out redundancy
+    and search effort.  Record order is resolution order, and every
+    timestamp comes from the run's watch, so records are a pure
+    function of the search trajectory under a WorkClock.
+    """
+
+    def __init__(
+        self,
+        faults: Sequence[Fault],
+        watch: Stopwatch,
+        sim_events,
+        search: SearchObserver,
+        metrics: MetricsRegistry,
+        *,
+        searches: bool,
+        **labels: object,
+    ):
+        self._faults = list(dict.fromkeys(faults))
+        self._watch = watch
+        self._sim_events = sim_events
+        self._search = search
+        self._records: List[Dict[str, Any]] = []
+        self._record_of: Dict[Fault, Dict[str, Any]] = {}
+        self._outcomes: Tally = Tally()
+        self._pending: Optional[Fault] = None
+        outcomes = ("detected", "redundant", "aborted")
+        self._ctr_outcome = {
+            outcome: metrics.counter("atpg.faults_" + outcome, **labels)
+            for outcome in outcomes
+            if searches or outcome != "redundant"
+        }
+        self._ctr_lifecycle = {
+            key: metrics.counter("lifecycle." + key, **labels)
+            for key in ("detected_targeted", "detected_incidental")
+        }
+        for reason in ABORT_REASONS:
+            self._ctr_lifecycle[reason] = metrics.counter(
+                "lifecycle.aborted_" + reason.replace("-", "_"), **labels
+            )
+        self._hist_dwell = metrics.histogram(
+            "search.fault_invalid_events", bounds=FAULT_DWELL_BUCKETS, **labels
+        )
+        self._effort = None
+        if searches:
+            self._effort = (
+                metrics.counter("atpg.backtracks", **labels),
+                metrics.counter("atpg.frames_expanded", **labels),
+                metrics.histogram("atpg.fault_backtracks", **labels),
+            )
+
+    # -- queries ------------------------------------------------------------
+
+    def is_open(self, fault: Fault) -> bool:
+        """True while ``fault`` has no record and is not under search."""
+        return fault not in self._record_of and fault != self._pending
+
+    def open_faults(self) -> List[Fault]:
+        """Faults still open, in target-list order."""
+        return [fault for fault in self._faults if self.is_open(fault)]
+
+    def checkpoint(self) -> Checkpoint:
+        """The Figure-3 sample of the records closed so far."""
+        return Checkpoint(
+            cpu_seconds=self._watch.elapsed(),
+            detected=self._outcomes["detected"],
+            redundant=self._outcomes["redundant"],
+            processed=len(self._records),
+            total=len(self._faults),
+        )
+
+    def statuses(self) -> Dict[Fault, FaultStatus]:
+        """Per-fault statuses, in target-list order."""
+        statuses: Dict[Fault, FaultStatus] = {}
+        for fault in self._faults:
+            record = self._record_of.get(fault)
+            if record is None:
+                statuses[fault] = FaultStatus(fault)
+            elif record["detected_by"] is None:
+                statuses[fault] = FaultStatus(fault, state=record["outcome"])
+            else:
+                statuses[fault] = FaultStatus(
+                    fault, state="detected", detected_by=record["detected_by"]
+                )
+        return statuses
+
+    def records(self) -> List[Dict[str, Any]]:
+        """The run's records, in resolution order."""
+        return list(self._records)
+
+    # -- resolutions --------------------------------------------------------
+
+    def detected(self, fault: Fault, provenance: str, sequence: int) -> None:
+        """``fault`` detected by test ``sequence``, which was not
+        searching for it; effort is charged to that sequence's own
+        fault (or phase), never here."""
+        self._close(fault, "detected", provenance, detected_by=sequence)
+
+    def abort(self, fault: Fault, reason: str) -> None:
+        """``fault`` aborted without any search (the budget was gone
+        before its turn, or it was left open at the end of a run)."""
+        self._close(fault, "aborted", PROV_TARGETED, abort_reason=reason)
+
+    @contextlib.contextmanager
+    def target(self, fault: Fault, trace) -> Iterator["FaultScope"]:
+        """Search scope of one targeted fault: an ``atpg.fault`` span
+        annotated with the scope's valid/invalid examine events.  The
+        returned scope stays pending — its fault neither open nor
+        closed — until :meth:`FaultScope.close`, so a detecting fault
+        can fault-drop first and still precede the faults it dropped.
+        """
+        scope = FaultScope(self, fault)
+        with trace.span("atpg.fault", fault=str(fault)) as span:
+            yield scope
+            valid, invalid = scope.dwell()
+            self._hist_dwell.observe(invalid)
+            annotate(span, search_valid=valid, search_invalid=invalid)
+
+    def _close(
+        self,
+        fault: Fault,
+        outcome: str,
+        provenance: str,
+        *,
+        abort_reason: Optional[str] = None,
+        detected_by: Optional[int] = None,
+        backtracks: int = 0,
+        frames: int = 0,
+        sim_events: int = 0,
+    ) -> None:
+        record = {
+            "fault": str(fault),
+            "order": len(self._records),
+            "outcome": outcome,
+            "provenance": provenance,
+            "abort_reason": abort_reason,
+            "detected_by": detected_by,
+            "backtracks": int(backtracks),
+            "frames": int(frames),
+            "sim_events": int(sim_events),
+            "cpu_seconds": float(self._watch.elapsed()),
+        }
+        self._records.append(record)
+        self._record_of[fault] = record
+        self._outcomes[outcome] += 1
+        self._ctr_outcome[outcome].inc()
+        if outcome == "detected":
+            targeted = provenance == PROV_TARGETED
+            self._ctr_lifecycle[
+                "detected_targeted" if targeted else "detected_incidental"
+            ].inc()
+        elif outcome == "aborted" and abort_reason in self._ctr_lifecycle:
+            self._ctr_lifecycle[abort_reason].inc()
+
+
+class FaultScope:
+    """One targeted fault between :meth:`FaultBook.target` and its
+    record: holds the simulator-event and examine-event marks."""
+
+    def __init__(self, book: FaultBook, fault: Fault):
+        book._pending = fault
+        self._book = book
+        self.fault = fault
+        self._sim_mark = book._sim_events.value
+        tally = book._search.tally
+        self._dwell_marks = (tally.valid_events, tally.invalid_events)
+
+    def dwell(self) -> Tuple[int, int]:
+        """(valid, invalid) examine events since the scope opened."""
+        tally = self._book._search.tally
+        return (
+            tally.valid_events - self._dwell_marks[0],
+            tally.invalid_events - self._dwell_marks[1],
+        )
+
+    def close(
+        self,
+        outcome: str,
+        backtracks: int,
+        frames: int,
+        *,
+        abort_reason: Optional[str] = None,
+        detected_by: Optional[int] = None,
+    ) -> None:
+        """Close the fault's record with its search effort; simulator
+        events count from the scope's start to now."""
+        book = self._book
+        book._pending = None
+        book._close(
+            self.fault,
+            outcome,
+            PROV_TARGETED,
+            abort_reason=abort_reason if outcome == "aborted" else None,
+            detected_by=detected_by if outcome == "detected" else None,
+            backtracks=backtracks,
+            frames=frames,
+            sim_events=max(0, book._sim_events.value - self._sim_mark),
+        )
+        if book._effort is not None:
+            ctr_backtracks, ctr_frames, hist_backtracks = book._effort
+            ctr_backtracks.inc(backtracks)
+            ctr_frames.inc(frames)
+            hist_backtracks.observe(backtracks)

@@ -27,27 +27,23 @@ mechanism.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import X
 from ..circuit.netlist import Circuit
 from ..errors import AtpgError
 from ..fault.collapse import collapse_faults
-from ..fault.model import Fault, FaultStatus
+from ..fault.model import Fault
 from ..fault.simulator import FaultSimulator
 from ..obs import Observability
-from ..obs.coverage import (
-    ABORT_STALL,
-    ABORT_TIME_BUDGET,
-    CoverageObserver,
-    PROV_BREEDING,
-)
+from ..obs.coverage import ABORT_STALL, ABORT_TIME_BUDGET, PROV_BREEDING
 from ..obs.search import SearchObserver, StateClassifier
 from .._util import make_rng
 from .result import (
     AtpgResult,
     Checkpoint,
     EffortBudget,
+    FaultBook,
     Stopwatch,
     TestSet,
     WorkClock,
@@ -92,10 +88,6 @@ class SimBasedEngine:
         labels = {"engine": self.name, "circuit": circuit.name}
         registry = self.obs.metrics
         self._ctr_rounds = registry.counter("atpg.rounds", **labels)
-        self._ctr_detected = registry.counter(
-            "atpg.faults_detected", **labels
-        )
-        self._ctr_aborted = registry.counter("atpg.faults_aborted", **labels)
         self._rng = make_rng(rng_seed)
         self._simulator = FaultSimulator(
             circuit, metrics=registry, backend=self.options.sim_backend
@@ -133,28 +125,26 @@ class SimBasedEngine:
         clock,
         trace,
     ) -> AtpgResult:
-        statuses = {fault: FaultStatus(fault) for fault in faults}
-        open_faults: List[Fault] = list(faults)
         test_set = TestSet()
         checkpoints: List[Checkpoint] = []
         states_seen: Set[Tuple[int, ...]] = set()
-        observer = SearchObserver(
-            self._classifier,
-            self.obs.metrics,
-            engine=self.name,
-            circuit=self.circuit.name,
-        )
-        coverage = CoverageObserver(
-            self.obs.metrics,
-            engine=self.name,
-            circuit=self.circuit.name,
-        )
+        labels = {"engine": self.name, "circuit": self.circuit.name}
+        observer = SearchObserver(self._classifier, self.obs.metrics, **labels)
         watch = Stopwatch(self.budget.total_seconds, clock=clock)
+        book = FaultBook(
+            faults,
+            watch,
+            self._simulator.events_counter,
+            observer,
+            self.obs.metrics,
+            searches=False,
+            **labels,
+        )
+        open_faults = book.open_faults()
         sim_events_start = self._simulator.events_counter.value
         elite: List[List[List[int]]] = []
         stall = 0
         rounds = 0
-        detected_count = 0
 
         while (
             open_faults
@@ -188,51 +178,28 @@ class SimBasedEngine:
                             sequence, report.detected.keys()
                         )
                         test_set.add(trimmed)
+                        # Every detection here is incidental: bred
+                        # sequences target no specific fault.
                         for fault in report.detected:
-                            statuses[fault].state = "detected"
-                            statuses[fault].detected_by = len(test_set) - 1
-                            detected_count += 1
-                            self._ctr_detected.inc()
-                            # Every detection here is incidental: bred
-                            # sequences target no specific fault.
-                            coverage.note_incidental(
-                                fault,
-                                PROV_BREEDING,
-                                len(test_set) - 1,
-                                elapsed=watch.elapsed(),
+                            book.detected(
+                                fault, PROV_BREEDING, len(test_set) - 1
                             )
-                        open_faults = [
-                            f
-                            for f in open_faults
-                            if f not in report.detected
-                        ]
+                        open_faults = book.open_faults()
                         elite.append(trimmed)
                         if len(elite) > self.options.elite_pool:
                             elite.pop(0)
             stall = 0 if improved else stall + 1
-            checkpoints.append(
-                Checkpoint(
-                    cpu_seconds=watch.elapsed(),
-                    detected=detected_count,
-                    redundant=0,
-                    processed=len(statuses) - len(open_faults),
-                    total=len(statuses),
-                )
-            )
+            checkpoints.append(book.checkpoint())
 
         leftover_reason = (
             ABORT_TIME_BUDGET if watch.expired() else ABORT_STALL
         )
         for fault in open_faults:
-            statuses[fault].state = "aborted"
-            coverage.note_abort(
-                fault, leftover_reason, elapsed=watch.elapsed()
-            )
-        self._ctr_aborted.inc(len(open_faults))
+            book.abort(fault, leftover_reason)
         return AtpgResult(
             circuit_name=self.circuit.name,
             engine=self.name,
-            statuses=statuses,
+            statuses=book.statuses(),
             test_set=test_set,
             cpu_seconds=watch.elapsed(),
             checkpoints=checkpoints,
@@ -241,7 +208,7 @@ class SimBasedEngine:
             sim_events=self._simulator.events_counter.value
             - sim_events_start,
             search_counters=observer.counters(),
-            fault_records=coverage.records(),
+            fault_records=book.records(),
         )
 
     # -- sequence generation --------------------------------------------------

@@ -102,7 +102,6 @@ DBAR = 4
 
 FIVE_VALUES = (ZERO, ONE, X, D, DBAR)
 
-_FIVE_CHAR = {ZERO: "0", ONE: "1", X: "x", D: "D", DBAR: "B"}
 
 # A five-valued literal is a (good, faulty) ternary pair; D = (1, 0).
 _FIVE_TO_PAIR = {
@@ -113,14 +112,6 @@ _FIVE_TO_PAIR = {
     DBAR: (ZERO, ONE),
 }
 _PAIR_TO_FIVE = {pair: value for value, pair in _FIVE_TO_PAIR.items()}
-
-
-def five_to_char(value: int) -> str:
-    """Render a five-valued literal (``B`` stands for D-bar)."""
-    try:
-        return _FIVE_CHAR[value]
-    except KeyError:
-        raise ValueError(f"not a five-valued literal: {value!r}") from None
 
 
 def five_split(value: int) -> Tuple[int, int]:

@@ -60,9 +60,6 @@ class Node:
     def is_gate(self) -> bool:
         return self.kind is NodeKind.GATE
 
-    def is_dff(self) -> bool:
-        return self.kind is NodeKind.DFF
-
 
 class Circuit:
     """A synchronous gate-level sequential circuit.

@@ -12,7 +12,6 @@ from .model import (
 from .collapse import CollapseReport, collapse_faults
 from .simulator import FaultSimReport, FaultSimulator, TestSequence
 from .analysis import (
-    ExpandedResult,
     FaultAnalysis,
     analyze_faults,
     analyze_faults_cached,
@@ -23,7 +22,6 @@ from .analysis import (
 __all__ = [
     "CollapseReport",
     "CoverageSummary",
-    "ExpandedResult",
     "Fault",
     "FaultAnalysis",
     "FaultSimReport",

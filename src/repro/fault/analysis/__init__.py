@@ -228,13 +228,12 @@ def clear_analysis_cache() -> None:
     _CACHE.clear()
 
 
-from .expand import ExpandedResult, expand_result  # noqa: E402  (cycle-free tail import)
+from .expand import expand_result  # noqa: E402  (cycle-free tail import)
 
 __all__ = [
     "LEVELS",
     "LEVEL_EQUIV",
     "LEVEL_FULL",
-    "ExpandedResult",
     "FaultAnalysis",
     "analyze_faults",
     "analyze_faults_cached",

@@ -24,131 +24,15 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ...circuit.netlist import Circuit
 from ...obs import MetricsRegistry, Observability
-from ..model import CoverageSummary, Fault, FaultStatus, summarize
+from ..model import Fault, FaultStatus, summarize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...atpg.result import AtpgResult, Checkpoint, TestSet
+    from ...atpg.result import AtpgResult
     from . import FaultAnalysis
-
-
-@dataclasses.dataclass
-class ExpandedResult:
-    """An :class:`~repro.atpg.result.AtpgResult` lifted to all faults.
-
-    Duck-types the engine result everywhere the harness reads one
-    (tables, ledgers, Figure 3 traversal reports): same attributes, but
-    ``statuses``/``summary()``/coverage numbers range over the full
-    fault universe and ``counters()`` adds the ``cover.*`` block (the
-    full-universe outcome counters the perf gate now guards) plus the
-    analyzer's ``collapse.*`` yield.
-    """
-
-    engine_result: "AtpgResult"
-    analysis: "FaultAnalysis"
-    #: Full-universe statuses, in canonical fault order.
-    statuses: Dict[Fault, FaultStatus]
-    #: Machine-steps spent post-simulating untargeted classes.
-    expansion_sim_events: int = 0
-    #: The engine's lifecycle records annotated with selection
-    #: provenance (collapse level + equivalence-class size); see
-    #: repro.obs.coverage and :func:`expand_result`.
-    fault_records: List[Dict[str, object]] = dataclasses.field(
-        default_factory=list
-    )
-
-    # -- AtpgResult surface, delegated -----------------------------------------
-
-    @property
-    def circuit_name(self) -> str:
-        return self.engine_result.circuit_name
-
-    @property
-    def engine(self) -> str:
-        return self.engine_result.engine
-
-    @property
-    def test_set(self) -> "TestSet":
-        return self.engine_result.test_set
-
-    @property
-    def cpu_seconds(self) -> float:
-        return self.engine_result.cpu_seconds
-
-    @property
-    def checkpoints(self) -> List["Checkpoint"]:
-        return self.engine_result.checkpoints
-
-    @property
-    def states_traversed(self) -> Set[Tuple[int, ...]]:
-        return self.engine_result.states_traversed
-
-    @property
-    def states_examined(self) -> Set[Tuple[int, ...]]:
-        return self.engine_result.states_examined
-
-    @property
-    def backtracks(self) -> int:
-        return self.engine_result.backtracks
-
-    @property
-    def frames_expanded(self) -> int:
-        return self.engine_result.frames_expanded
-
-    @property
-    def sim_events(self) -> int:
-        return self.engine_result.sim_events
-
-    @property
-    def search_counters(self) -> Dict[str, int]:
-        return self.engine_result.search_counters
-
-    # -- full-universe accounting ----------------------------------------------
-
-    def summary(self) -> CoverageSummary:
-        return summarize(self.statuses.values())
-
-    @property
-    def fault_coverage(self) -> float:
-        return self.summary().fault_coverage
-
-    @property
-    def fault_efficiency(self) -> float:
-        return self.summary().fault_efficiency
-
-    def counters(self) -> Dict[str, float]:
-        """Engine counters + full-universe ``cover.*`` + ``collapse.*``.
-
-        ``atpg.*`` keys keep their reduced-list semantics (engine search
-        effort and engine-level outcomes); ``cover.*`` is the expanded
-        truth the tables print and the perf gate treats as
-        lower-is-worse.
-        """
-        counters = self.engine_result.counters()
-        summary = self.summary()
-        counters.update(
-            {
-                "cover.faults_total": summary.total,
-                "cover.faults_detected": summary.detected,
-                "cover.faults_redundant": summary.redundant,
-                "cover.faults_aborted": summary.aborted,
-                "cover.faults_untestable": summary.untestable,
-                "sim.expansion_events": self.expansion_sim_events,
-            }
-        )
-        counters.update(self.analysis.counters())
-        return counters
-
-    def __str__(self) -> str:
-        return (
-            f"{self.engine} on {self.circuit_name} (expanded over "
-            f"{len(self.statuses)} faults, "
-            f"{len(self.analysis.representatives)} targets): "
-            f"{self.summary()}"
-        )
 
 
 def expand_result(
@@ -156,8 +40,18 @@ def expand_result(
     analysis: "FaultAnalysis",
     circuit: Circuit,
     obs: Optional[Observability] = None,
-) -> ExpandedResult:
-    """Lift ``engine_result`` over ``analysis``'s full fault universe."""
+) -> "AtpgResult":
+    """Lift ``engine_result`` over ``analysis``'s full fault universe.
+
+    The returned result differs from ``engine_result`` in three fields:
+    ``statuses`` range over every fault of the universe, in canonical
+    order, so ``summary()`` and the coverage numbers the tables print
+    are full-universe; ``fault_records`` carry selection provenance;
+    and ``expansion_counters`` adds the full-universe ``cover.*``
+    outcomes, ``sim.expansion_events`` and the analyzer's
+    ``collapse.*`` yield to ``counters()``.  ``atpg.*`` counters keep
+    their target-list meaning (they count the engine's records).
+    """
     from ..simulator import FaultSimulator  # local: avoid import cycle
 
     targeted = engine_result.statuses
@@ -218,10 +112,19 @@ def expand_result(
         )
         for record in engine_result.fault_records
     ]
-    return ExpandedResult(
-        engine_result=engine_result,
-        analysis=analysis,
+    summary = summarize(statuses.values())
+    expansion_counters = {
+        "cover.faults_total": summary.total,
+        "cover.faults_detected": summary.detected,
+        "cover.faults_redundant": summary.redundant,
+        "cover.faults_aborted": summary.aborted,
+        "cover.faults_untestable": summary.untestable,
+        "sim.expansion_events": expansion_events,
+    }
+    expansion_counters.update(analysis.counters())
+    return dataclasses.replace(
+        engine_result,
         statuses=statuses,
-        expansion_sim_events=expansion_events,
         fault_records=fault_records,
+        expansion_counters=expansion_counters,
     )

@@ -18,12 +18,9 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..atpg.registry import get_engine
+from ..atpg.result import AtpgResult
 from ..circuit.netlist import Circuit
-from ..fault.analysis import (
-    ExpandedResult,
-    analyze_faults_cached,
-    expand_result,
-)
+from ..fault.analysis import analyze_faults_cached, expand_result
 from ..lint import LintConfig, Severity, gate_circuit
 from ..obs import Observability
 from .config import HarnessConfig, select_target_faults
@@ -35,15 +32,15 @@ from .tables import Column, Table, pct, ratio
 class PairRun:
     """Engine results for one original/retimed pair.
 
-    Both sides are :class:`~repro.fault.analysis.ExpandedResult`\\ s:
-    the engine only targeted the analyzer's reduced fault list, but
-    every number a table reads from here ranges over the full fault
-    universe.
+    Both sides are results lifted by
+    :func:`~repro.fault.analysis.expand_result`: the engine only
+    targeted the analyzer's reduced fault list, but every number a
+    table reads from here ranges over the full fault universe.
     """
 
     pair: CircuitPair
-    original: ExpandedResult
-    retimed: ExpandedResult
+    original: AtpgResult
+    retimed: AtpgResult
 
     @property
     def cpu_ratio(self) -> float:
@@ -56,7 +53,7 @@ def run_engine_on_circuit(
     engine: str,
     config: HarnessConfig,
     obs: Optional[Observability] = None,
-) -> ExpandedResult:
+) -> AtpgResult:
     """One engine × circuit run with the config's fault sampling.
 
     ``engine`` is a registry name resolved through
@@ -146,7 +143,7 @@ def hitec_table(
     return hitec_table_from_rows(rows), runs
 
 
-def _hitec_row(name: str, circuit: Circuit, result: ExpandedResult) -> Dict:
+def _hitec_row(name: str, circuit: Circuit, result: AtpgResult) -> Dict:
     return {
         "circuit": name,
         "dffs": circuit.num_dffs(),

@@ -23,19 +23,14 @@ import os
 import time
 from typing import Optional
 
-from ..obs import (
-    merge_dumps,
-    read_trace_jsonl,
-    render_metrics_summary,
-    render_rollup,
-)
+from ..obs import read_trace_jsonl, render_rollup
 from ..obs.perf import (
     collect_environment,
     snapshot_from_ledger,
     write_snapshot,
 )
 from .config import HarnessConfig
-from .ledger import completed_by_key
+from .ledger import render_merged_metrics
 from .report import assemble_report
 from .reporting import Reporter
 from .runner import RunResult, run_experiment
@@ -141,17 +136,7 @@ def _profile_summary(config: HarnessConfig, result: RunResult) -> str:
             title=f"Profile: hottest span paths ({result.run_id})",
         )
     ]
-    dumps = [
-        record.metrics
-        for record in completed_by_key(
-            result.records, config.fingerprint()
-        ).values()
-        if record.metrics
-    ]
-    if dumps:
-        sections.append(
-            render_metrics_summary(
-                merge_dumps(dumps), title="Metrics (all tasks merged)"
-            )
-        )
+    metrics = render_merged_metrics(result.records, config.fingerprint())
+    if metrics:
+        sections.append(metrics)
     return "\n\n".join(sections)

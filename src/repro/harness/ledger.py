@@ -61,6 +61,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..lint.gate import _SUMMARY_DETAIL_LIMIT, LintLedger
 from ..lint.severity import Severity
+from ..obs import merge_dumps, render_metrics_summary
 
 LEDGER_NAME = "ledger.jsonl"
 RECORD_VERSION = 6
@@ -195,6 +196,23 @@ def completed_by_key(
             continue
         completed[record.key] = record
     return completed
+
+
+def render_merged_metrics(
+    records: Iterable[TaskRecord], fingerprint: Optional[str] = None
+) -> str:
+    """The metrics table of every completed cell's registry dump,
+    merged ("" when no cell recorded metrics)."""
+    dumps = [
+        record.metrics
+        for record in completed_by_key(records, fingerprint).values()
+        if record.metrics
+    ]
+    if not dumps:
+        return ""
+    return render_metrics_summary(
+        merge_dumps(dumps), title="Metrics (all tasks merged)"
+    )
 
 
 def quarantined_keys(records: Iterable[TaskRecord]) -> List[str]:

@@ -63,10 +63,6 @@ class CircuitBdds:
 
     # -- convenient views -------------------------------------------------------
 
-    def output_functions(self) -> Dict[str, int]:
-        """PO name -> BDD."""
-        return {po: self.node_fn[po] for po in self.circuit.outputs}
-
     def next_state_functions(self) -> List[Tuple[str, int]]:
         """(DFF name, BDD of its D input), in DFF declaration order."""
         result = []
@@ -76,9 +72,6 @@ class CircuitBdds:
 
     def state_variables(self) -> List[str]:
         return list(self.circuit.dff_names())
-
-    def input_variables(self) -> List[str]:
-        return list(self.circuit.inputs)
 
 
 def _apply_gate(manager: BddManager, gate: GateType, fanin: List[int]) -> int:

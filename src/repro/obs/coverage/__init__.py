@@ -6,12 +6,13 @@ was selected (equivalence class, collapse level), how it resolved
 splits the engines' single opaque ``aborted`` state), who detected it
 (its own deterministic search vs another fault's test via fault
 dropping, the random phase, or sequence breeding), and what the
-resolution cost (backtracks, frames, sim events charged between the
-``begin_fault``/``end_fault`` brackets).  Three pieces:
+resolution cost (backtracks, frames, sim events inside the fault's
+search scope).  The records themselves are written by each engine
+run's fault book (:class:`repro.atpg.result.FaultBook`), the one
+place an engine keeps a fault's outcome.  Three pieces here:
 
-* :class:`CoverageObserver` — per-run streaming records plus the
-  ``lifecycle.*`` counters (and :data:`NULL_COVERAGE_OBSERVER`, the
-  off-hot-path disabled mode);
+* the taxonomy — the ``ABORT_*`` reasons and ``PROV_*`` provenances a
+  record carries;
 * the report layer — coverage-vs-cumulative-effort curves per cell and
   aggregated, the per-cell abort forensics the combined harness report
   embeds, and the cross-engine hard-fault ranking exported as a
@@ -30,23 +31,20 @@ reports, curves, and the target list are byte-identical across
 
 This package deliberately never imports ``repro.atpg`` or
 ``repro.harness`` — the engines and harness import *us* (the
-``ABORT_*`` taxonomy constants live here for exactly that reason).
+taxonomy constants live here for exactly that reason).
 """
 
-from .observer import (
+from .taxonomy import (
     ABORT_BACKTRACK_LIMIT,
     ABORT_FRAME_LIMIT,
     ABORT_REASONS,
     ABORT_STALL,
     ABORT_TIME_BUDGET,
     INCIDENTAL_PROVENANCES,
-    NULL_COVERAGE_OBSERVER,
     PROV_BREEDING,
     PROV_FAULT_DROP,
     PROV_RANDOM_PHASE,
     PROV_TARGETED,
-    CoverageObserver,
-    NullCoverageObserver,
 )
 from .report import (
     COVERAGE_SCHEMA_VERSION,
@@ -76,12 +74,9 @@ __all__ = [
     "COVERAGE_SCHEMA_VERSION",
     "CellRecords",
     "CoverageCurve",
-    "CoverageObserver",
     "HardFault",
     "INCIDENTAL_PROVENANCES",
     "MARK_PERCENTS",
-    "NULL_COVERAGE_OBSERVER",
-    "NullCoverageObserver",
     "PROV_BREEDING",
     "PROV_FAULT_DROP",
     "PROV_RANDOM_PHASE",

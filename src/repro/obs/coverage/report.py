@@ -33,7 +33,7 @@ import dataclasses
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .observer import ABORT_REASONS, INCIDENTAL_PROVENANCES, PROV_TARGETED
+from .taxonomy import ABORT_REASONS, INCIDENTAL_PROVENANCES, PROV_TARGETED
 
 #: Version of the ledger-embedded ``lifecycle`` payload.
 COVERAGE_SCHEMA_VERSION = 1
@@ -276,12 +276,6 @@ class HardFault:
     frames: int = 0
     sim_events: int = 0
     cells: List[str] = dataclasses.field(default_factory=list)
-
-    @property
-    def score(self) -> Tuple[int, int, int, int]:
-        """Rank key: repeat aborters first, then by deterministic
-        search effort sunk into the fault."""
-        return (self.aborts, self.backtracks, self.frames, self.sim_events)
 
 
 def rank_hard_faults(cells: Iterable[CellRecords]) -> List[HardFault]:

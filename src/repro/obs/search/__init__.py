@@ -10,8 +10,9 @@ first-class observable.  Three pieces:
 * :class:`SearchObserver` — per-run streaming tallies: every cube the
   structural justification proposes and every concrete state a
   simulation run drives through becomes a ``search.*`` counter
-  increment (plus :data:`NULL_SEARCH_OBSERVER`, the off-hot-path
-  disabled mode);
+  increment.  The engine's fault book
+  (:class:`repro.atpg.result.FaultBook`) reads the per-fault dwell off
+  these tallies;
 * the report layer — per-cell waste attribution joined with density of
   encoding, the original→retimed waste movement, and the waste↔density
   rank correlation.
@@ -31,8 +32,6 @@ This package deliberately never imports ``repro.atpg`` or
 from .classifier import StateClassifier, StateCube, cube_key
 from .observer import (
     FAULT_DWELL_BUCKETS,
-    NULL_SEARCH_OBSERVER,
-    NullSearchObserver,
     SearchObserver,
     SearchTally,
 )
@@ -53,8 +52,6 @@ from .report import (
 
 __all__ = [
     "FAULT_DWELL_BUCKETS",
-    "NULL_SEARCH_OBSERVER",
-    "NullSearchObserver",
     "SEARCH_PREFIX",
     "SearchObserver",
     "SearchTally",

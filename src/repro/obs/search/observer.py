@@ -19,12 +19,10 @@ tallied into ``search.*`` instruments:
 
 Everything increments at deterministic points of the search trajectory
 — never from wall time — so the tallies are byte-identical across
-``--jobs`` levels, like every other WorkClock-ordered counter.
-
-The disabled path follows the tracer's NullSink discipline:
-:data:`NULL_SEARCH_OBSERVER` is a shared, stateless no-op whose methods
-do nothing and whose ``counters()`` is empty, so an engine wired to it
-pays one attribute call per examined cube and classifies nothing.
+``--jobs`` levels, like every other WorkClock-ordered counter.  The
+per-fault dwell (``search.fault_invalid_events``) is read off the
+tally by the engine's fault book (``repro.atpg.result.FaultBook``),
+which brackets each targeted fault.
 """
 
 from __future__ import annotations
@@ -37,7 +35,8 @@ from .classifier import StateClassifier, StateCube, cube_key
 
 State = Tuple[int, ...]
 
-#: Histogram buckets for per-fault invalid-examination counts (dwell).
+#: Histogram buckets for per-fault invalid-examination counts (dwell),
+#: ``search.fault_invalid_events``.
 FAULT_DWELL_BUCKETS: Tuple[float, ...] = (
     0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024,
 )
@@ -78,39 +77,6 @@ class SearchTally:
         return self.invalid_events / classified
 
 
-class NullSearchObserver:
-    """Shared no-op observer: the off-hot-path disabled mode."""
-
-    enabled = False
-    tally = SearchTally()  # shared and never mutated
-
-    def observe_cube(self, cube: Dict[int, int]) -> None:
-        pass
-
-    def observe_state(self, state: Sequence[int]) -> None:
-        pass
-
-    def note_partial_state(self) -> None:
-        pass
-
-    def note_learned_prune(self) -> None:
-        pass
-
-    def begin_fault(self) -> None:
-        pass
-
-    def end_fault(self, backtracks: int = 0) -> Tuple[int, int]:
-        return (0, 0)
-
-    def counters(self) -> Dict[str, int]:
-        return {}
-
-
-#: The one stateless disabled observer (engines default to a live one;
-#: pass this to opt a run out of classification entirely).
-NULL_SEARCH_OBSERVER = NullSearchObserver()
-
-
 class SearchObserver:
     """Live observer for one engine run.
 
@@ -118,8 +84,6 @@ class SearchObserver:
     uniqueness is tracked per observer, so ``unique_*`` counts are
     "distinct cubes examined by *this* run".
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -148,13 +112,6 @@ class SearchObserver:
         self._ctr_unclassified = registry.counter(
             "search.unclassified", **labels
         )
-        self._hist_fault_invalid = registry.histogram(
-            "search.fault_invalid_events",
-            bounds=FAULT_DWELL_BUCKETS,
-            **labels,
-        )
-        self._fault_valid_mark = 0
-        self._fault_invalid_mark = 0
 
     # -- streaming ----------------------------------------------------------
 
@@ -203,20 +160,6 @@ class SearchObserver:
         """A cube rejected by the illegal-state cache without re-proof."""
         self.tally.learned_prunes += 1
         self._ctr_learned.inc()
-
-    # -- per-fault dwell ----------------------------------------------------
-
-    def begin_fault(self) -> None:
-        self._fault_valid_mark = self.tally.valid_events
-        self._fault_invalid_mark = self.tally.invalid_events
-
-    def end_fault(self, backtracks: int = 0) -> Tuple[int, int]:
-        """Close one fault's window; returns its (valid, invalid) event
-        deltas and feeds the per-fault invalid-dwell histogram."""
-        valid = self.tally.valid_events - self._fault_valid_mark
-        invalid = self.tally.invalid_events - self._fault_invalid_mark
-        self._hist_fault_invalid.observe(invalid)
-        return valid, invalid
 
     def counters(self) -> Dict[str, int]:
         return self.tally.counters()

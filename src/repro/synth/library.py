@@ -12,7 +12,7 @@ compares cycle times within one technology (Table 7).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Circuit, NodeKind
@@ -85,12 +85,6 @@ class GateLibrary:
             elif node.kind is NodeKind.DFF:
                 total += DFF_AREA
         return total
-
-    def node_delay(self, circuit: Circuit, name: str) -> float:
-        node = circuit.node(name)
-        if node.kind is NodeKind.GATE:
-            return self.delay(node.gate, len(node.fanin))
-        return 0.0
 
 
 DEFAULT_LIBRARY = GateLibrary()

@@ -12,12 +12,14 @@ backends.
 import pytest
 from hypothesis import given, settings
 
-from repro.atpg import EffortBudget, HitecEngine, SimBasedEngine
+from repro.atpg import EffortBudget, HitecEngine, SimBasedEngine, get_engine
 from repro.fault import analyze_faults
 from repro.fault.analysis import LEVELS
+from repro.obs import Observability
 from repro.obs.coverage import (
     ABORT_REASONS,
     INCIDENTAL_PROVENANCES,
+    PROV_FAULT_DROP,
     PROV_TARGETED,
 )
 from repro.sim.parallel import BACKENDS
@@ -94,7 +96,74 @@ class TestPartitionProperty:
             )
 
 
+def registry_total(dump, name):
+    """One metric summed over every label set of a registry dump."""
+    return sum(
+        value for key, value in dump.items() if key.split("{")[0] == name
+    )
+
+
+def assert_book_invariants(result, dump):
+    """Every outcome an engine reports is read off its fault records."""
+    records = result.fault_records
+    for checkpoint in result.checkpoints:
+        prefix = records[: checkpoint.processed]
+        assert checkpoint.detected == sum(
+            r["outcome"] == "detected" for r in prefix
+        )
+        assert checkpoint.redundant == sum(
+            r["outcome"] == "redundant" for r in prefix
+        )
+        assert checkpoint.total == len(result.statuses)
+    counters = result.counters()
+    assert counters["atpg.faults_total"] == len(records)
+    for outcome in ("detected", "redundant", "aborted"):
+        count = sum(r["outcome"] == outcome for r in records)
+        assert counters["atpg.faults_" + outcome] == count
+        assert registry_total(dump, "atpg.faults_" + outcome) == count
+    for key, field in (
+        ("atpg.backtracks", "backtracks"),
+        ("atpg.frames_expanded", "frames"),
+    ):
+        total = sum(r[field] for r in records)
+        assert counters[key] == total
+        assert registry_total(dump, key) == total
+    # A detecting record closes after its fault-drop pass and right
+    # before the records of the faults its test dropped.
+    owner = None
+    for record in records:
+        if record["provenance"] == PROV_FAULT_DROP:
+            assert owner is not None
+            assert owner["outcome"] == "detected"
+            assert owner["provenance"] == PROV_TARGETED
+            assert owner["detected_by"] == record["detected_by"]
+        else:
+            owner = record
+
+
 class TestEngineRecords:
+    @pytest.mark.parametrize("side", ["original", "retimed"])
+    @pytest.mark.parametrize("engine", ["hitec", "sest", "simbased"])
+    def test_outcomes_are_read_from_records(self, engine, side):
+        from repro.harness.config import HarnessConfig
+        from repro.harness.suite import build_pair
+
+        pair = build_pair("dk16.ji.sd")
+        circuit = getattr(pair, side + "_circuit")
+        obs = Observability()
+        result = get_engine(
+            engine, circuit, budget=HarnessConfig.quick().budget, obs=obs
+        ).run()
+        assert_records_partition_targets(
+            result.fault_records, list(result.statuses)
+        )
+        assert_book_invariants(result, obs.metrics.dump())
+        if engine != "simbased":
+            assert any(
+                r["provenance"] == PROV_FAULT_DROP
+                for r in result.fault_records
+            )
+
     def test_hitec_statuses_agree_with_records(self, two_bit_counter):
         result = HitecEngine(
             two_bit_counter, budget=EffortBudget.quick()

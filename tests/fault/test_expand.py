@@ -174,11 +174,27 @@ class TestExpandResult:
         assert expanded.fault_efficiency >= expanded.fault_coverage
 
     def test_delegates_engine_surface(self):
+        """The expanded result is the engine's own result with three
+        fields widened: every other field is the engine's, and the
+        ``atpg.*`` outcome counters keep counting the engine's records
+        while ``cover.*`` counts the full universe."""
         builder = CircuitBuilder("tiny")
         a = builder.input("a")
         builder.output(builder.not_(a, name="y"))
         circuit = builder.build()
         analysis = analyze_faults(circuit, level=LEVEL_FULL)
+        record = {
+            "fault": "a/0",
+            "order": 0,
+            "outcome": "aborted",
+            "provenance": "targeted",
+            "abort_reason": "backtrack-limit",
+            "detected_by": None,
+            "backtracks": 7,
+            "frames": 2,
+            "sim_events": 0,
+            "cpu_seconds": 1.5,
+        }
         engine_result = AtpgResult(
             circuit_name="tiny",
             engine="fake",
@@ -187,12 +203,26 @@ class TestExpandResult:
             cpu_seconds=1.5,
             checkpoints=[],
             states_traversed={(0,)},
-            backtracks=7,
+            fault_records=[record],
         )
         expanded = expand_result(engine_result, analysis, circuit)
+        assert type(expanded) is AtpgResult
         assert expanded.circuit_name == "tiny"
         assert expanded.engine == "fake"
         assert expanded.cpu_seconds == 1.5
         assert expanded.backtracks == 7
+        assert expanded.frames_expanded == 2
         assert expanded.states_traversed == {(0,)}
         assert len(expanded.test_set) == 0
+        assert set(expanded.statuses) == set(analysis.all_faults)
+        assert expanded.fault_records[0]["collapse_level"] == LEVEL_FULL
+        counters = expanded.counters()
+        assert counters["atpg.faults_total"] == 1
+        assert counters["atpg.faults_aborted"] == 1
+        assert counters["atpg.backtracks"] == 7
+        assert counters["cover.faults_total"] == len(analysis.all_faults)
+        assert counters["sim.expansion_events"] == 0
+        assert counters["collapse.faults_total"] == len(analysis.all_faults)
+        # The engine's own result is left as it was.
+        assert engine_result.statuses == {}
+        assert "cover.faults_total" not in engine_result.counters()

@@ -11,12 +11,10 @@ from repro.obs.coverage import (
     ABORT_TIME_BUDGET,
     COVERAGE_SCHEMA_VERSION,
     INCIDENTAL_PROVENANCES,
-    NULL_COVERAGE_OBSERVER,
     PROV_FAULT_DROP,
     PROV_RANDOM_PHASE,
     PROV_TARGETED,
     TARGETS_SCHEMA_VERSION,
-    CoverageObserver,
     cell_records_from_ledger_rows,
     coverage_curves,
     hard_fault_targets,
@@ -28,8 +26,11 @@ from repro.obs.coverage import (
     render_hard_faults,
     render_report,
 )
+from repro.atpg.result import FaultBook, Stopwatch, WorkClock
 from repro.obs.report import main as report_cli
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.search import SearchObserver, StateClassifier
+from repro.obs.trace import null_tracer
 
 
 def rec(fault, outcome, provenance=PROV_TARGETED, abort_reason=None,
@@ -50,18 +51,43 @@ def rec(fault, outcome, provenance=PROV_TARGETED, abort_reason=None,
 
 
 class TestObserver:
-    def test_targeted_bracket_stores_sim_event_delta(self):
-        observer = CoverageObserver()
-        observer.begin_fault("x1/0", sim_events=100)
-        record = observer.end_fault(
-            "x1/0",
-            "detected",
-            detected_by=3,
-            backtracks=7,
-            frames=2,
-            sim_events=160,
-            elapsed=0.5,
+    """The engines' fault book (``repro.atpg.result.FaultBook``): the
+    one writer of lifecycle records."""
+
+    @pytest.fixture
+    def registry(self):
+        return MetricsRegistry()
+
+    @pytest.fixture
+    def clock(self):
+        return WorkClock()
+
+    @pytest.fixture
+    def book(self, two_bit_counter, registry, clock):
+        faults = ("x1/0", "x1/1", "g3/1", "a/0", "b/1", "c/0")
+        return FaultBook(
+            faults,
+            Stopwatch(60.0, clock=clock),
+            registry.counter("sim.events", engine="hitec", circuit="c"),
+            SearchObserver(StateClassifier(two_bit_counter)),
+            registry,
+            searches=True,
+            engine="hitec",
+            circuit="c",
         )
+
+    def test_targeted_bracket_stores_sim_event_delta(
+        self, book, registry, clock
+    ):
+        sim_events = registry.counter(
+            "sim.events", engine="hitec", circuit="c"
+        )
+        sim_events.inc(100)
+        with book.target("x1/0", null_tracer()) as scope:
+            sim_events.inc(60)
+            clock.charge(5000)
+        scope.close("detected", 7, 2, detected_by=3)
+        (record,) = book.records()
         assert record["sim_events"] == 60
         assert record["backtracks"] == 7
         assert record["frames"] == 2
@@ -70,58 +96,71 @@ class TestObserver:
         assert record["abort_reason"] is None
         assert record["cpu_seconds"] == 0.5
 
-    def test_abort_reason_only_on_aborted_outcome(self):
-        observer = CoverageObserver()
-        observer.begin_fault("x1/0")
-        aborted = observer.end_fault(
-            "x1/0", "aborted", abort_reason=ABORT_BACKTRACK_LIMIT
+    def test_abort_reason_only_on_aborted_outcome(self, book):
+        with book.target("x1/0", null_tracer()) as scope:
+            pass
+        scope.close("aborted", 0, 0, abort_reason=ABORT_BACKTRACK_LIMIT)
+        with book.target("x1/1", null_tracer()) as scope:
+            pass
+        scope.close(
+            "redundant", 0, 0, abort_reason=ABORT_BACKTRACK_LIMIT
         )
+        aborted, redundant = book.records()
         assert aborted["abort_reason"] == ABORT_BACKTRACK_LIMIT
         assert aborted["detected_by"] is None
-        observer.begin_fault("x1/1")
-        redundant = observer.end_fault(
-            "x1/1", "redundant", abort_reason=ABORT_BACKTRACK_LIMIT
-        )
         assert redundant["abort_reason"] is None
 
-    def test_incidental_detection_carries_no_effort(self):
-        observer = CoverageObserver()
-        record = observer.note_incidental(
-            "g3/1", PROV_FAULT_DROP, detected_by=2, elapsed=1.25
-        )
+    def test_incidental_detection_carries_no_effort(self, book, clock):
+        clock.charge(12500)
+        book.detected("g3/1", PROV_FAULT_DROP, 2)
+        (record,) = book.records()
         assert record["outcome"] == "detected"
         assert record["provenance"] == PROV_FAULT_DROP
+        assert record["detected_by"] == 2
         assert record["backtracks"] == 0
         assert record["frames"] == 0
         assert record["sim_events"] == 0
         assert record["cpu_seconds"] == 1.25
 
-    def test_note_abort_is_targeted_with_zero_effort(self):
-        observer = CoverageObserver()
-        record = observer.note_abort("g3/1", ABORT_TIME_BUDGET)
+    def test_note_abort_is_targeted_with_zero_effort(self, book):
+        book.abort("g3/1", ABORT_TIME_BUDGET)
+        (record,) = book.records()
         assert record["outcome"] == "aborted"
         assert record["provenance"] == PROV_TARGETED
         assert record["abort_reason"] == ABORT_TIME_BUDGET
         assert record["backtracks"] == 0
 
-    def test_order_is_resolution_order(self):
-        observer = CoverageObserver()
-        observer.note_incidental("a/0", PROV_RANDOM_PHASE, 0)
-        observer.begin_fault("b/1")
-        observer.end_fault("b/1", "detected", detected_by=1)
-        observer.note_abort("c/0", ABORT_STALL)
-        assert [r["order"] for r in observer.records()] == [0, 1, 2]
-        assert [r["fault"] for r in observer.records()] == [
+    def test_order_is_resolution_order(self, book):
+        book.detected("a/0", PROV_RANDOM_PHASE, 0)
+        with book.target("b/1", null_tracer()) as scope:
+            # Under search, a fault is neither open nor resolved.
+            assert not book.is_open("b/1")
+            assert "b/1" not in book.open_faults()
+        scope.close("detected", 0, 0, detected_by=1)
+        book.abort("c/0", ABORT_STALL)
+        assert [r["order"] for r in book.records()] == [0, 1, 2]
+        assert [r["fault"] for r in book.records()] == [
             "a/0", "b/1", "c/0",
         ]
+        assert book.open_faults() == ["x1/0", "x1/1", "g3/1"]
+        statuses = book.statuses()
+        assert list(statuses) == [
+            "x1/0", "x1/1", "g3/1", "a/0", "b/1", "c/0",
+        ]
+        assert statuses["b/1"].state == "detected"
+        assert statuses["b/1"].detected_by == 1
+        assert statuses["c/0"].state == "aborted"
+        assert statuses["x1/0"].is_open()
+        checkpoint = book.checkpoint()
+        assert (checkpoint.detected, checkpoint.processed) == (2, 3)
+        assert checkpoint.total == 6
 
-    def test_counters_feed_metrics_registry(self):
-        registry = MetricsRegistry()
-        observer = CoverageObserver(registry, engine="hitec", circuit="c")
-        observer.note_incidental("a/0", PROV_FAULT_DROP, 0)
-        observer.begin_fault("b/1")
-        observer.end_fault("b/1", "detected", detected_by=1)
-        observer.note_abort("c/0", ABORT_BACKTRACK_LIMIT)
+    def test_counters_feed_metrics_registry(self, book, registry):
+        book.detected("a/0", PROV_FAULT_DROP, 0)
+        with book.target("b/1", null_tracer()) as scope:
+            pass
+        scope.close("detected", 5, 2, detected_by=1)
+        book.abort("c/0", ABORT_BACKTRACK_LIMIT)
         dump = registry.dump()
         assert dump[
             "lifecycle.detected_targeted{circuit=c,engine=hitec}"
@@ -132,15 +171,32 @@ class TestObserver:
         assert dump[
             "lifecycle.aborted_backtrack_limit{circuit=c,engine=hitec}"
         ] == 1
+        assert dump["atpg.faults_detected{circuit=c,engine=hitec}"] == 2
+        assert dump["atpg.faults_aborted{circuit=c,engine=hitec}"] == 1
+        assert dump["atpg.backtracks{circuit=c,engine=hitec}"] == 5
+        assert dump["atpg.frames_expanded{circuit=c,engine=hitec}"] == 2
 
-    def test_null_observer_is_inert(self):
-        assert NULL_COVERAGE_OBSERVER.enabled is False
-        NULL_COVERAGE_OBSERVER.begin_fault("a/0")
-        NULL_COVERAGE_OBSERVER.end_fault("a/0", "detected")
-        NULL_COVERAGE_OBSERVER.note_incidental("a/0", PROV_FAULT_DROP, 0)
-        NULL_COVERAGE_OBSERVER.note_abort("a/0", ABORT_STALL)
-        assert NULL_COVERAGE_OBSERVER.records() == []
-        assert NULL_COVERAGE_OBSERVER.counters() == {}
+    def test_simulation_book_registers_no_search_effort(
+        self, two_bit_counter
+    ):
+        registry = MetricsRegistry()
+        FaultBook(
+            ("a/0",),
+            Stopwatch(1.0),
+            registry.counter("sim.events"),
+            SearchObserver(StateClassifier(two_bit_counter)),
+            registry,
+            searches=False,
+        )
+        names = {key.split("{")[0] for key in registry.dump()}
+        assert "atpg.faults_detected" in names
+        assert "search.fault_invalid_events" in names
+        assert not names & {
+            "atpg.faults_redundant",
+            "atpg.backtracks",
+            "atpg.frames_expanded",
+            "atpg.fault_backtracks",
+        }
 
 
 class TestCounterBlock:

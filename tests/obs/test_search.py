@@ -16,12 +16,11 @@ from repro.atpg import (
 )
 from repro.atpg.learning import IllegalStateCache
 from repro.atpg.podem import SearchMeter
-from repro.atpg.result import Stopwatch
+from repro.atpg.result import FaultBook, Stopwatch
 from repro.circuit.gates import X
 from repro.errors import AnalysisError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, null_tracer
 from repro.obs.search import (
-    NULL_SEARCH_OBSERVER,
     SearchObserver,
     StateClassifier,
     pair_deltas,
@@ -146,15 +145,30 @@ class TestObserver:
     def test_per_fault_window(self, toggle_circuit):
         # toggle: only q=0 and q=1 after reset are both reachable; use
         # a 1-DFF circuit so there is no invalid concrete state — the
-        # window arithmetic is what's under test.
+        # window arithmetic is what's under test.  The engines' fault
+        # book owns the per-fault window.
         observer = SearchObserver(StateClassifier(toggle_circuit))
-        observer.begin_fault()
-        observer.observe_cube({0: 1})
-        observer.observe_cube({0: 0})
-        valid, invalid = observer.end_fault(backtracks=3)
-        assert (valid, invalid) == (2, 0)
-        observer.begin_fault()
-        assert observer.end_fault() == (0, 0)
+        registry = MetricsRegistry()
+        book = FaultBook(
+            ("q/0", "q/1"),
+            Stopwatch(1.0),
+            registry.counter("sim.events"),
+            observer,
+            registry,
+            searches=True,
+        )
+        with book.target("q/0", null_tracer()) as scope:
+            observer.observe_cube({0: 1})
+            observer.observe_cube({0: 0})
+            assert scope.dwell() == (2, 0)
+        scope.close("aborted", 3, 1)
+        observer.observe_cube({0: 1})  # between scopes: nobody's dwell
+        with book.target("q/1", null_tracer()) as scope:
+            assert scope.dwell() == (0, 0)
+        scope.close("redundant", 0, 1)
+        dwell = registry.dump()["search.fault_invalid_events"]
+        assert dwell["count"] == 2
+        assert dwell["sum"] == 0
 
     def test_counters_feed_metrics_registry(self, two_bit_counter):
         registry = MetricsRegistry()
@@ -171,16 +185,6 @@ class TestObserver:
             f"{{circuit={two_bit_counter.name},engine=hitec}}"
         )
         assert dump[key] == 1
-
-    def test_null_observer_is_inert(self):
-        NULL_SEARCH_OBSERVER.observe_cube({0: 1})
-        NULL_SEARCH_OBSERVER.observe_state((0, 1))
-        NULL_SEARCH_OBSERVER.note_partial_state()
-        NULL_SEARCH_OBSERVER.note_learned_prune()
-        NULL_SEARCH_OBSERVER.begin_fault()
-        assert NULL_SEARCH_OBSERVER.end_fault(5) == (0, 0)
-        assert NULL_SEARCH_OBSERVER.counters() == {}
-        assert NULL_SEARCH_OBSERVER.tally.examined_events == 0
 
 
 class TestEngineWiring:
@@ -481,7 +485,7 @@ def test_package_imports_before_engines():
             sys.executable,
             "-c",
             "import repro.obs.search; "
-            "print(repro.obs.search.NULL_SEARCH_OBSERVER is not None)",
+            "print(repro.obs.search.SearchObserver is not None)",
         ],
         env=env,
         capture_output=True,
