@@ -4,8 +4,9 @@ Unlike the bench_* table regenerations these are true microbenchmarks —
 the same fault-simulation workload is timed on both simulation backends
 for a few Table-2 circuits, and the same five-valued time-frame
 evaluation on the interpreted ``eval_gate5`` loop and the compiled
-kernel, so each kernel speedup is visible in isolation from engine
-search.  Results persist into
+kernel, and one simulation-based ATPG round on the group-loop oracle
+and the lane-parallel pass, so each kernel speedup is visible in
+isolation from engine search.  Results persist into
 ``benchmarks/baselines/pytest-bench.json`` (advisory, never gates).
 """
 
@@ -13,11 +14,13 @@ import pytest
 
 from repro._util import make_rng
 from repro.atpg import UnrolledModel, Variable
+from repro.atpg.simbased import SimBasedEngine
 from repro.circuit import ZERO
 from repro.fault import Fault, FaultSimulator
 from repro.harness.suite import build_pair, synthesize_named
 
 from tests.atpg.test_frames import reference_frames
+from tests.fault.reference import reference_run
 
 # A small spread of Table-2 circuits: the smallest, a mid-size FSM and
 # one of the larger s-series synthesis results.
@@ -54,6 +57,41 @@ def test_fault_sim_kernels(benchmark, name, backend):
     )
     assert report.detected == reference.detected
     assert report.undetected == reference.undetected
+
+
+# -- one simulation-based ATPG round -----------------------------------------
+
+ROUND_BACKENDS = ("reference", "lanes")
+
+
+def _round(backend, simulator, batch, faults):
+    """Each sequence's detections against the round's open faults: one
+    group-loop run per sequence, or one lane pass for the batch."""
+    if backend == "reference":
+        return [
+            list(reference_run(simulator, [sequence], faults).detected)
+            for sequence in batch
+        ]
+    records = simulator.simulate_batch(batch, faults)
+    return [
+        list(simulator.replay(record, faults).detected) for record in records
+    ]
+
+
+@pytest.mark.parametrize("backend", ROUND_BACKENDS)
+def test_fault_sim_round(benchmark, backend):
+    circuit = build_pair("s510.jc.sd").retimed_circuit
+    batch = SimBasedEngine(circuit, rng_seed=23)._next_batch([])
+    simulator = FaultSimulator(circuit)
+    faults = simulator.faults
+    detections = benchmark.pedantic(
+        _round,
+        args=(backend, simulator, batch, faults),
+        rounds=3,
+        iterations=1,
+    )
+    other = ROUND_BACKENDS[1 - ROUND_BACKENDS.index(backend)]
+    assert detections == _round(other, FaultSimulator(circuit), batch, faults)
 
 
 # -- five-valued time-frame evaluation (PODEM's implication step) ----------

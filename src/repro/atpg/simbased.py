@@ -155,14 +155,16 @@ class SimBasedEngine:
             self._ctr_rounds.inc()
             with trace.span("atpg.round", index=rounds):
                 batch = self._next_batch(elite)
+                # One lane pass for the whole batch against the round's
+                # open faults; each sequence is then read (and charged)
+                # against the faults still open at its turn.
+                records = self._simulator.simulate_batch(batch, open_faults)
                 improved = False
-                for sequence in batch:
+                for record in records:
                     if watch.expired():
                         break
                     watch.charge(5)  # one sequence through the simulator
-                    report = self._simulator.run(
-                        [sequence], faults=open_faults
-                    )
+                    report = self._simulator.replay(record, open_faults)
                     # Stream newly reached states in sorted order (set
                     # iteration order is not deterministic across
                     # processes; the sort keeps the tallies jobs-
@@ -174,9 +176,7 @@ class SimBasedEngine:
                     states_seen |= report.states_traversed
                     if report.detected:
                         improved = True
-                        trimmed = self._trim(
-                            sequence, report.detected.keys()
-                        )
+                        trimmed = self._trim(record, list(report.detected))
                         test_set.add(trimmed)
                         # Every detection here is incidental: bred
                         # sequences target no specific fault.
@@ -243,20 +243,19 @@ class SimBasedEngine:
             )
         return mutated
 
-    def _trim(self, sequence, detected_faults) -> List[List[int]]:
+    def _trim(self, record, detected_faults) -> List[List[int]]:
         """Cut the sequence right after its last useful vector (greedy:
         halve from the end while every fault stays detected)."""
-        length = len(sequence)
+        length = len(record.sequence)
         while length > 1:
-            candidate = sequence[: length // 2 + length % 2]
-            report = self._simulator.run(
-                [candidate], faults=list(detected_faults), drop=False
+            candidate = length // 2 + length % 2
+            report = self._simulator.replay(
+                record, detected_faults, drop=False, length=candidate
             )
             if len(report.detected) != len(detected_faults):
                 break
-            length = len(candidate)
-            sequence = candidate
-        return [list(v) for v in sequence[:length]]
+            length = candidate
+        return [list(v) for v in record.sequence[:length]]
 
 
 def run_simbased(

@@ -1,6 +1,6 @@
 """Stuck-at fault model, static fault analysis (equivalence +
 dominance/checkpoint collapsing, provable-untestable pruning), and
-word-parallel sequential fault simulation (PROOFS substitute)."""
+lane-parallel sequential fault simulation (PROOFS substitute)."""
 
 from .model import (
     CoverageSummary,

@@ -1,21 +1,30 @@
-"""Word-parallel sequential stuck-at fault simulation (PROOFS substitute).
+"""Lane-parallel sequential stuck-at fault simulation (PROOFS substitute).
 
-One 64-bit word carries 64 machines through the circuit at once: bit 0
-is the fault-free machine, bits 1..63 are faulty machines, each with its
-own stuck-at override.  A fault is detected when its bit differs from
-the good bit at any primary output in any cycle of a test sequence.
-Each sequence starts from the circuit's reset state (every test the ATPG
-engines emit is a from-reset sequence, per the paper's explicit-reset /
-power-up-reset setup).
+One arbitrary-width Python int per signal carries every machine of a
+call through the circuit at once.  The word is cut into blocks of
+``F + 1`` lanes, one block per test sequence: the block's lowest lane
+is that sequence's fault-free machine, the other ``F`` lanes its faulty
+machines, each with its own stuck-at override.  A fault is detected
+when its lane differs from its block's good lane at any primary output
+in any cycle.  Each sequence starts from the circuit's reset state
+(every test the ATPG engines emit is a from-reset sequence, per the
+paper's explicit-reset / power-up-reset setup).
 
-Fault batches are scheduled PROOFS-style: surviving faults are regrouped
-between sequences (drop-on-detect compaction), so later passes run fewer,
-fuller words.  Each group's stuck-at overrides are resolved once into a
-bound stepper (:meth:`~repro.sim.parallel.ParallelSimulator.bind_overrides`)
-— flat keep/force arrays driving a pre-compiled masked word-op kernel —
-so the per-vector path does no dict probing and no recompilation.  ``regroup=False`` freezes the
-initial grouping for ablation; both schedules produce byte-identical
-reports and counters (pinned by ``tests/fault/test_batching.py``).
+A pass (:meth:`~repro.sim.parallel.BoundStepper.run_lanes`) records
+each lane's *first detection step* and each sequence's good-state
+trajectory; every answer and every counter is a pure function of those
+steps.  Python's bitwise ops cost nearly the same at 64 and 1,000 bits,
+so one wide pass replaces many 64-bit ones; :data:`LANE_BOUND` caps the
+lanes per pass.  Wider calls chunk their sequences in order (dropping
+detected faults between chunks), and a fault list too wide for one
+block is split across passes.
+
+Counters are charged as if each sequence ran on its own against the
+surviving faults in 63-wide groups (bit 0 of a 64-bit word reserved
+for the good machine), each group stopping once all its faults are
+caught: ``sim.events`` counts machines × steps, ``sim.pattern_batches``
+steps and ``sim.words_packed`` steps × (#PI + #DFF).  The schedule is
+fixed, so the counters do not depend on how lanes are packed.
 
 Besides coverage, the simulator records the set of fully-specified
 machine states the *good* machine traverses, which is exactly the
@@ -25,7 +34,7 @@ machine states the *good* machine traverses, which is exactly the
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .._util import chunked
 from ..circuit.gates import ONE, X, ZERO
@@ -39,6 +48,11 @@ from .model import Fault
 TestSequence = Sequence[Sequence[int]]  # vectors, each of width #PI
 
 MAX_GROUP_WIDTH = WORD_BITS - 1  # bit 0 is reserved for the good machine
+
+#: Lanes per pass.  A 792-gate kernel costs 217 µs per call at 64 bits,
+#: 329 at 1024, 415 at 2048 and 759 at 4096: per lane, cost stops
+#: falling near 2048, while wider passes carry more dropped faults.
+LANE_BOUND = 2048
 
 
 @dataclasses.dataclass
@@ -61,6 +75,42 @@ class FaultSimReport:
         return 100.0 * len(self.detected) / total
 
 
+class LaneRecord:
+    """One sequence's outcome in a lane-parallel pass.
+
+    ``first_steps`` maps each fault the sequence detects (among the
+    faults of its pass) to the 0-based step of the first detection.
+    The good machine's states are read from the pass's raw state words
+    on demand; a pass that stopped early holds every step that any
+    replay of this record charges.
+    """
+
+    __slots__ = ("sequence", "first_steps", "_words", "_lane", "_states")
+
+    def __init__(
+        self,
+        sequence: TestSequence,
+        first_steps: Dict[Fault, int],
+        initial_state: Tuple[int, ...],
+        words: List[List[int]],
+        lane: int,
+    ):
+        self.sequence = sequence
+        self.first_steps = first_steps
+        self._words = words
+        self._lane = lane
+        self._states: List[Tuple[int, ...]] = [initial_state]
+
+    def good_states(self, steps: int) -> List[Tuple[int, ...]]:
+        """The reset state and the good states after the first
+        ``steps`` vectors."""
+        states = self._states
+        lane = self._lane
+        for state in self._words[len(states) - 1 : steps]:
+            states.append(tuple((word >> lane) & 1 for word in state))
+        return states[: steps + 1]
+
+
 class FaultSimulator:
     """Reusable fault simulator bound to one circuit.
 
@@ -68,15 +118,8 @@ class FaultSimulator:
     :class:`~repro.obs.Observability` registry, or private by default):
     ``sim.events`` counts machine-steps (one simulated machine through
     one vector), ``sim.faults_dropped`` counts per-pass fault drops,
-    ``sim.sequences`` counts sequences simulated.
-
-    ``group_width`` caps the number of faulty machines packed per word
-    (1..63; 63 fills the word).  ``regroup=True`` re-chunks the
-    surviving fault list before every sequence so drop-on-detect
-    compacts later passes into fewer, fuller words; ``regroup=False``
-    freezes the initial grouping and merely skips dead machines.  Both
-    knobs are pure scheduling — reports and deterministic counters are
-    invariant.  ``backend`` is forwarded to the underlying
+    ``sim.sequences`` counts sequences simulated.  ``backend`` is
+    forwarded to the underlying
     :class:`~repro.sim.parallel.ParallelSimulator`.
     """
 
@@ -85,8 +128,6 @@ class FaultSimulator:
         circuit: Circuit,
         faults: Optional[Sequence[Fault]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        group_width: int = MAX_GROUP_WIDTH,
-        regroup: bool = True,
         backend: str = "compiled",
     ):
         if any(dff.init == X for dff in circuit.dffs()):
@@ -94,14 +135,7 @@ class FaultSimulator:
                 f"circuit {circuit.name!r} has DFFs with unknown initial "
                 "values; two-valued fault simulation needs a reset state"
             )
-        if not 1 <= group_width <= MAX_GROUP_WIDTH:
-            raise FaultError(
-                f"group_width must be in 1..{MAX_GROUP_WIDTH}, got "
-                f"{group_width}"
-            )
         self.circuit = circuit
-        self.group_width = group_width
-        self.regroup = regroup
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._parallel = ParallelSimulator(
             circuit, metrics=self.metrics, backend=backend
@@ -124,18 +158,18 @@ class FaultSimulator:
         if faults is None:
             faults = collapse_faults(circuit).representatives
         self.faults: List[Fault] = list(faults)
-        self._initial_state = [
+        self._initial_state = tuple(
             ONE if dff.init == ONE else ZERO for dff in circuit.dffs()
-        ]
-        # Bound steppers for groups of at most one fault, keyed by the
-        # canonical (mask, overrides) pair.  HITEC validates every
-        # candidate sequence with a single-fault :meth:`detects` call;
-        # rebinding the override program each time re-derived the same
-        # keep/force arrays, so the compiled kernel path is reused here.
-        # Binding increments no counters, so caching cannot drift any
-        # deterministic counter; the cache is bounded by the fault
-        # universe (one entry per distinct single fault, plus the
-        # fault-free stepper).
+        )
+        # Bound steppers for one sequence against at most one fault,
+        # keyed by the canonical (mask, overrides) pair.  HITEC
+        # validates every candidate sequence with a single-fault
+        # :meth:`detects` call; rebinding the override program each
+        # time re-derived the same keep/force arrays, so the compiled
+        # kernel path is reused here.  Binding increments no counters,
+        # so caching cannot drift any deterministic counter; the cache
+        # is bounded by the fault universe (one entry per distinct
+        # single fault, plus the fault-free stepper).
         self._single_steppers: Dict[
             Tuple[int, Tuple[Tuple[int, Tuple[int, int]], ...]], object
         ] = {}
@@ -152,36 +186,91 @@ class FaultSimulator:
 
         With ``drop=True`` (the default, matching every classical flow)
         faults already detected by an earlier sequence are not simulated
-        again.
+        again.  With ``drop=False`` every sequence sees every fault, a
+        fault keeps its first-detection position in ``detected`` but
+        maps to the *last* sequence that detects it, and ``undetected``
+        is the whole fault list.
+
+        ``states_traversed`` follows the charged schedule, not the full
+        trajectory: a sequence contributes its good states only up to
+        the step where its longest 63-wide group stopped (every fault
+        of a group caught ends that group's run).  It feeds
+        ``atpg.states_traversed`` and Tables 6/8; :meth:`good_trace_states`
+        returns whole trajectories.
         """
         remaining = list(self.faults if faults is None else faults)
-        static_groups: Optional[List[List[Fault]]] = None
-        if not self.regroup:
-            static_groups = list(chunked(remaining, self.group_width)) or [[]]
+        sequences = _checked(sequences)
         detected: Dict[Fault, int] = {}
         states: Set[Tuple[int, ...]] = set()
         vectors = 0
-        for index, sequence in enumerate(sequences):
-            vectors += len(sequence)
-            self.sequences_counter.inc()
-            caught = self._simulate_sequence(
-                sequence, remaining, states, static_groups
-            )
-            # Insert in fault-list order, not set order: callers feed
-            # report.detected back into the simulator (e.g. trimming), so
-            # hash-dependent ordering would leak into batch composition.
-            for fault in remaining:
-                if fault in caught:
-                    detected[fault] = index
+        index = 0
+        while index < len(sequences):
             if drop:
-                before = len(remaining)
-                remaining = [f for f in remaining if f not in caught]
-                self.dropped_counter.inc(before - len(remaining))
+                # One pass's worth of sequences, so later passes carry
+                # only the faults earlier ones left.
+                chunk = sequences[
+                    index : index + _sequences_per_pass(len(remaining))
+                ]
+            else:
+                chunk = sequences[index:]
+            for record in self._records(chunk, remaining):
+                report = self.replay(record, remaining, drop)
+                vectors += report.vectors_simulated
+                states |= report.states_traversed
+                # Insert in fault-list order, not set order: callers
+                # feed report.detected back into the simulator (e.g.
+                # trimming), so hash-dependent ordering would leak into
+                # batch composition.
+                for fault in report.detected:
+                    detected[fault] = index
+                remaining = report.undetected
+                index += 1
         return FaultSimReport(
             detected=detected,
             undetected=remaining,
             vectors_simulated=vectors,
             states_traversed=states,
+        )
+
+    def simulate_batch(
+        self, sequences: Sequence[TestSequence], faults: Sequence[Fault]
+    ) -> List[LaneRecord]:
+        """Simulate every sequence against every fault, without drop,
+        charging nothing: :meth:`replay` reads each record later and
+        charges it then, so a record never replayed costs no counter."""
+        return self._records(_checked(sequences), list(faults))
+
+    def replay(
+        self,
+        record: LaneRecord,
+        faults: Sequence[Fault],
+        drop: bool = True,
+        length: Optional[int] = None,
+    ) -> FaultSimReport:
+        """What ``run([record.sequence[:length]], faults, drop)`` returns,
+        read from ``record`` and charged to every counter exactly as
+        that call would be.  ``faults`` must be among those the record's
+        pass simulated; a prefix of length L detects a fault iff its
+        first detection step is below L."""
+        if length is None:
+            length = len(record.sequence)
+        steps = [record.first_steps.get(fault, length) for fault in faults]
+        steps = [step if step < length else None for step in steps]
+        longest = self._charge(length, steps)
+        self.sequences_counter.inc()
+        detected = {
+            fault: 0 for fault, step in zip(faults, steps) if step is not None
+        }
+        if drop:
+            undetected = [fault for fault in faults if fault not in detected]
+            self.dropped_counter.inc(len(faults) - len(undetected))
+        else:
+            undetected = list(faults)
+        return FaultSimReport(
+            detected=detected,
+            undetected=undetected,
+            vectors_simulated=length,
+            states_traversed=set(record.good_states(longest)),
         )
 
     def run_analyzed(
@@ -235,92 +324,106 @@ class FaultSimulator:
         candidate sequences against one fault binds the override
         program once instead of per call.
         """
-        caught = self._simulate_sequence(sequence, [fault], None)
-        return fault in caught
+        (record,) = self._records(_checked([sequence]), [fault])
+        step = record.first_steps.get(fault)
+        self._charge(len(sequence), [step])
+        return step is not None
 
     def good_trace_states(
         self, sequences: Sequence[TestSequence]
     ) -> Set[Tuple[int, ...]]:
-        """States the fault-free machine traverses over the test set."""
+        """States the fault-free machine traverses over the test set:
+        the reset state and the state after every vector."""
         states: Set[Tuple[int, ...]] = set()
-        for sequence in sequences:
-            self._simulate_sequence(sequence, [], states)
+        steps = 0
+        for record in self._records(_checked(sequences), [], full=True):
+            length = len(record.sequence)
+            states.update(record.good_states(length))
+            steps += length
+        self.events_counter.inc(steps)
+        self._parallel.charge(steps)
         return states
 
-    # -- internals ----------------------------------------------------------------
+    # -- internals ------------------------------------------------------------
 
-    def _simulate_sequence(
-        self,
-        sequence: TestSequence,
-        faults: Sequence[Fault],
-        states_out: Optional[Set[Tuple[int, ...]]],
-        static_groups: Optional[List[List[Fault]]] = None,
-    ) -> Set[Fault]:
-        """Simulate one sequence against ``faults``; returns those caught.
-
-        ``states_out`` is an accumulator for good-machine states, or
-        ``None`` for a state-free run (e.g. :meth:`detects`).  With
-        ``static_groups`` the frozen grouping is reused, dead machines
-        filtered out; otherwise survivors are re-chunked fresh.
-        """
-        # Validate and pack each vector once per sequence (full-width
-        # words; the stepper masks on load), not once per fault group.
-        full = (1 << WORD_BITS) - 1
-        packed: List[List[int]] = []
-        for vector in sequence:
-            pi_words = []
-            for bit in vector:
-                if bit not in (ZERO, ONE):
-                    raise FaultError(
-                        "test vectors must be fully specified 0/1 values"
-                    )
-                pi_words.append(full if bit == ONE else 0)
-            packed.append(pi_words)
-        caught: Set[Fault] = set()
-        groups = self._schedule(faults, static_groups)
+    def _charge(self, length: int, steps: Sequence[Optional[int]]) -> int:
+        """Charge one sequence of ``length`` vectors against faults with
+        these first detection steps (``None``: undetected) as 63-wide
+        groups, each stopping once all its faults are caught; an empty
+        list runs one good-machine group for one step.  Returns the
+        longest group's step count."""
+        groups = list(chunked(steps, MAX_GROUP_WIDTH)) or [[]]
+        longest = 0
+        total = 0
         for group in groups:
-            caught |= self._simulate_group(packed, list(group), states_out)
-        return caught
+            if None in group:
+                run = length
+            else:
+                run = min(length, 1 + max(group, default=0))
+            self.events_counter.inc((len(group) + 1) * run)
+            total += run
+            longest = max(longest, run)
+        self._parallel.charge(total)
+        return longest
 
-    def _schedule(
+    def _records(
         self,
-        faults: Sequence[Fault],
-        static_groups: Optional[List[List[Fault]]],
-    ) -> List[List[Fault]]:
-        """Partition surviving ``faults`` into word-sized batches.
+        sequences: Sequence[TestSequence],
+        faults: List[Fault],
+        full: bool = False,
+    ) -> List[LaneRecord]:
+        """Lane-parallel passes over ``sequences`` × ``faults`` under
+        :data:`LANE_BOUND`: sequences in order, as many per pass as fit,
+        and a fault list wider than one block split across passes."""
+        if len(faults) + 1 <= LANE_BOUND:
+            parts = [faults]
+        else:
+            parts = list(chunked(faults, LANE_BOUND - 1))
+        records: List[LaneRecord] = []
+        per_pass = _sequences_per_pass(len(faults))
+        for chunk in chunked(sequences, per_pass):
+            passes = [self._pass(chunk, part, full) for part in parts]
+            for position, sequence in enumerate(chunk):
+                first: Dict[Fault, int] = {}
+                for found, _, _ in passes:
+                    first.update(found[position])
+                # Every part ran each sequence at least as far as any
+                # replay charges it; the longest run covers them all.
+                _, words, block = max(passes, key=lambda item: len(item[1]))
+                records.append(
+                    LaneRecord(
+                        sequence,
+                        first,
+                        self._initial_state,
+                        words,
+                        position * block,
+                    )
+                )
+        return records
 
-        Either path degenerates to one empty group when nothing survives
-        — the good machine still runs (state recording, event
-        accounting stay identical whether or not faults ride along).
-        """
-        if static_groups is None:
-            return list(chunked(list(faults), self.group_width)) or [[]]
-        alive = set(faults)
-        groups = [
-            [fault for fault in group if fault in alive]
-            for group in static_groups
-        ]
-        return [group for group in groups if group] or [[]]
-
-    def _simulate_group(
+    def _pass(
         self,
-        packed: List[List[int]],
-        group: List[Fault],
-        states_out: Optional[Set[Tuple[int, ...]]],
-    ) -> Set[Fault]:
+        chunk: Sequence[TestSequence],
+        faults: List[Fault],
+        full: bool,
+    ) -> Tuple[List[Dict[Fault, int]], List[List[int]], int]:
+        """One lane pass: ``chunk`` sequences × (1 good + ``faults``)
+        machines.  Returns per-sequence first detection steps, the raw
+        state words per step and the block width."""
         sim = self._parallel
-        num_machines = len(group) + 1  # bit 0 = good machine
-        mask = (1 << num_machines) - 1
-
+        block = len(faults) + 1
+        mask = (1 << (block * len(chunk))) - 1
+        goods = mask // ((1 << block) - 1)  # the lowest lane of each block
         overrides: Dict[int, Tuple[int, int]] = {}
-        for position, fault in enumerate(group, start=1):
-            node_index = sim.node_index(fault.node)
-            affected, forced = overrides.get(node_index, (0, 0))
-            affected |= 1 << position
+        for position, fault in enumerate(faults, start=1):
+            slot = sim.node_index(fault.node)
+            affected, forced = overrides.get(slot, (0, 0))
+            lanes = goods << position
+            affected |= lanes
             if fault.stuck_at == ONE:
-                forced |= 1 << position
-            overrides[node_index] = (affected, forced)
-        if len(group) <= 1:
+                forced |= lanes
+            overrides[slot] = (affected, forced)
+        if len(chunk) == 1 and len(faults) <= 1:
             # The detects() validation path binds the same single-fault
             # override program over and over; reuse the compiled stepper.
             cache_key = (mask, tuple(sorted(overrides.items())))
@@ -331,20 +434,45 @@ class FaultSimulator:
         else:
             stepper = sim.bind_overrides(overrides, mask)
 
+        num_pis = len(self.circuit.inputs)
+        block_ones = (1 << block) - 1
+        ends: Dict[int, int] = {}
+        pi_steps: List[List[int]] = []
+        for position, sequence in enumerate(chunk):
+            lanes = block_ones << (position * block)
+            ends[len(sequence)] = ends.get(len(sequence), 0) | (
+                lanes ^ (1 << (position * block))
+            )
+            for step, vector in enumerate(sequence):
+                if step == len(pi_steps):
+                    pi_steps.append([0] * num_pis)
+                words = pi_steps[step]
+                for pi, bit in enumerate(vector):
+                    if bit:
+                        words[pi] |= lanes
         state_words = [
             mask if bit == ONE else 0 for bit in self._initial_state
         ]
-        if states_out is not None:
-            states_out.add(self._good_state(state_words))
-        detected_mask, steps = stepper.run_detect(
-            packed, state_words, states_out
+        first, words = stepper.run_lanes(
+            pi_steps, state_words, block, ends, until_caught=not full
         )
-        self.events_counter.inc(num_machines * steps)
-        caught: Set[Fault] = set()
-        for position, fault in enumerate(group, start=1):
-            if (detected_mask >> position) & 1:
-                caught.add(fault)
-        return caught
+        found: List[Dict[Fault, int]] = [{} for _ in chunk]
+        for lane, step in first.items():
+            position, offset = divmod(lane, block)
+            found[position][faults[offset - 1]] = step
+        return found, words, block
 
-    def _good_state(self, state_words: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(word & 1 for word in state_words)
+
+def _sequences_per_pass(num_faults: int) -> int:
+    return max(1, LANE_BOUND // (num_faults + 1))
+
+
+def _checked(sequences: Sequence[TestSequence]) -> Sequence[TestSequence]:
+    for sequence in sequences:
+        for vector in sequence:
+            for bit in vector:
+                if bit not in (ZERO, ONE):
+                    raise FaultError(
+                        "test vectors must be fully specified 0/1 values"
+                    )
+    return sequences

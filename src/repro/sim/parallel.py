@@ -68,7 +68,7 @@ def unpack_word(word: int, count: int) -> List[int]:
 class BoundStepper:
     """One override map bound to one simulator at a fixed mask.
 
-    Built once per fault batch (:meth:`ParallelSimulator.bind_overrides`),
+    Built once per lane pass (:meth:`ParallelSimulator.bind_overrides`),
     then stepped per vector: the override split (source vs gate slots),
     the kernel choice and the flat keep/force arrays are all resolved
     here, so the per-step path does no dict probing at all.
@@ -158,27 +158,37 @@ class BoundStepper:
         next_state = [values[slot] & mask for slot in program.dff_d_slots]
         return po_words, next_state
 
-    def run_detect(
+    def run_lanes(
         self,
-        packed: Sequence[Sequence[int]],
+        pi_steps: Sequence[Sequence[int]],
         state_words: Sequence[int],
-        states_out=None,
-    ) -> Tuple[int, int]:
-        """Run one prepacked sequence, accumulating fault detection.
+        block: int,
+        ends: Dict[int, int],
+        until_caught: bool = True,
+    ) -> Tuple[Dict[int, int], List[List[int]]]:
+        """Run one lane-parallel pass; returns ``(first, states)``.
 
-        The fault simulator's group loop, fused: bit 0 carries the
-        reference (good) machine and a fault is detected when its bit
-        differs from bit 0 at any PO in any cycle.  Returns
-        ``(detected_mask, steps)`` where ``steps`` counts vectors
-        actually applied — the loop exits early once every faulty lane
-        has diverged.  ``states_out`` (a set or ``None``) collects the
-        good machine's state after each step.  Counter totals are
-        identical to stepping vector-by-vector; the fused loop only
-        avoids per-step list building and counter calls.
+        The word is cut into blocks of ``block`` lanes, one block per
+        sequence: the block's lowest lane is that sequence's good
+        machine, the others its faulty machines.  A faulty lane is
+        detected at the first step where it differs from its block's
+        good lane at any PO.  ``ends`` maps a sequence length to the
+        faulty lanes of the blocks whose sequence has that many
+        vectors; those lanes stop counting once their sequence ends.
+        ``pi_steps[t]`` holds step ``t``'s PI words, already within the
+        stepper's mask.
+
+        ``first`` maps each detected lane to its first detection step
+        (0-based); ``states[t]`` holds the raw next-state words after
+        step ``t`` (unmasked: read a lane with ``(word >> lane) & 1``).
+        With ``until_caught`` the pass stops after the step on which
+        the last watched lane is detected or its sequence ends.
+        Increments no counters: the fault simulator charges its own
+        accounting schedule.
         """
         program = self._program
         mask = self._mask
-        target = mask & ~1
+        goods = mask // ((1 << block) - 1)  # the lowest lane of each block
         input_slots = program.input_slots
         dff_out_slots = program.dff_out_slots
         output_slots = program.output_slots
@@ -186,13 +196,13 @@ class BoundStepper:
         source_ops = self._source_ops
         run_kernel = self._run_kernel
         values = self._scratch
+        pending = (mask ^ goods) & ~ends.get(0, 0)
+        first: Dict[int, int] = {}
+        states: List[List[int]] = []
         state = state_words
-        detected = 0
-        steps = 0
-        for pi_words in packed:
-            steps += 1
+        for step, pi_words in enumerate(pi_steps):
             for slot, word in zip(input_slots, pi_words):
-                values[slot] = word & mask
+                values[slot] = word
             for slot, word in zip(dff_out_slots, state):
                 values[slot] = word & mask
             for slot, keep, force in source_ops:
@@ -201,17 +211,25 @@ class BoundStepper:
             # Next-state words stay unmasked; the source load above
             # masks them on the way back in.
             state = [values[slot] for slot in dff_d_slots]
-            if states_out is not None:
-                states_out.add(tuple(word & 1 for word in state))
+            states.append(state)
+            diff = 0
             for slot in output_slots:
                 word = values[slot]
-                detected |= (word ^ -(word & 1)) & mask
-            if detected == target:
-                break  # every fault in the group already caught
-        sim = self._sim
-        sim._batches.inc(steps)
-        sim._words.inc(steps * (len(input_slots) + len(dff_out_slots)))
-        return detected, steps
+                good = word & goods
+                # (good << block) - good copies each good bit over its
+                # whole block.
+                diff |= word ^ ((good << block) - good)
+            caught = diff & pending
+            if caught:
+                pending ^= caught
+                while caught:
+                    low = caught & -caught
+                    first[low.bit_length() - 1] = step
+                    caught ^= low
+            pending &= ~ends.get(step + 1, 0)
+            if until_caught and not pending:
+                break
+        return first, states
 
 
 class ParallelSimulator:
@@ -269,6 +287,16 @@ class ParallelSimulator:
         except KeyError:
             raise SimulationError(f"no node named {name!r}") from None
 
+    def charge(self, steps: int) -> None:
+        """Count ``steps`` word evaluations of one machine word:
+        ``sim.pattern_batches`` by ``steps`` and ``sim.words_packed`` by
+        one word per PI and per DFF per step."""
+        self._batches.inc(steps)
+        self._words.inc(
+            steps
+            * (len(self.program.input_slots) + len(self.program.dff_out_slots))
+        )
+
     def bind_overrides(
         self,
         overrides: Optional[Dict[int, Tuple[int, int]]],
@@ -296,7 +324,7 @@ class ParallelSimulator:
         in the bit positions of ``affected_bits`` the node's value is
         replaced by ``forced_word`` *after* the node is evaluated and
         before any fanout reads it.  This is how the fault simulator runs
-        up to 64 machines per word, each with its own stuck-at fault: a
+        many machines per word, each with its own stuck-at fault: a
         stuck-at-1 on node n affecting machine ``i`` is
         ``overrides[n] = (1 << i, 1 << i)``.
 
@@ -366,8 +394,8 @@ class ParallelSimulator:
         overrides: Optional[Dict[int, Tuple[int, int]]] = None,
     ) -> Tuple[List[List[int]], List[int]]:
         """Simulate a *single* pattern sequence on all bit positions at
-        once (every bit position sees the same vectors; used to carry one
-        good machine and 63 faulty machines — see the fault simulator).
+        once (every bit position sees the same vectors; ``overrides``
+        give each position its own machine).
 
         Returns ``(po_words_per_cycle, final_state_words)``.
         """

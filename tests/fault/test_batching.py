@@ -1,22 +1,24 @@
-"""Batching invariance: fault-group width and regrouping are pure
-scheduling.
+"""Batching invariance: the lane bound is pure scheduling.
 
-Drop-on-detect compaction (regrouping survivors into fewer, fuller
-words between sequences) and the group width itself must never change
-*what* is detected — only how much word-level work it costs.  This pins
-the tentpole's fault-parallel batch scheduler as a perf-only move.
+How many sequence × fault machines share one pass (the lane bound,
+chunking by sequence and splitting fault lists) must never change
+*what* is detected, nor any counter: every ``sim.*`` counter is charged
+by the fixed 63-wide group schedule, whatever the packing.  Bound 2
+runs one machine pair per pass, 65 splits the dk16 fault list, and
+4096 packs several sequences per pass.
 """
 
 import pytest
 
 from repro._util import make_rng
-from repro.errors import FaultError
 from repro.fault import FaultSimulator
+from repro.fault import simulator as simulator_module
 from repro.fault.analysis import LEVEL_FULL, analyze_faults
 
+from tests.fault.reference import reference_run
 from tests.helpers import random_circuit
 
-WIDTHS = (1, 7, 63)
+BOUNDS = (2, 65, 4096)
 
 
 def _sequences(circuit, seed, num_sequences=6, length=12):
@@ -32,7 +34,7 @@ def _sequences(circuit, seed, num_sequences=6, length=12):
 
 def _report_core(report):
     return (
-        report.detected,
+        list(report.detected.items()),
         report.undetected,
         report.coverage_percent(),
         report.vectors_simulated,
@@ -40,40 +42,46 @@ def _report_core(report):
     )
 
 
+def _run_at_bounds(make_simulator, call):
+    """``call(simulator)`` at every lane bound; returns the report cores
+    with each run's full counter dump."""
+    results = []
+    for bound in BOUNDS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator_module, "LANE_BOUND", bound)
+            simulator = make_simulator()
+            core = _report_core(call(simulator))
+        results.append((core, simulator.metrics.dump()))
+    return results
+
+
 class TestRunInvariance:
     @pytest.mark.parametrize("drop", [True, False])
     def test_width_and_regroup_invariant(self, dk16_rugged, drop):
+        """Every lane bound reproduces the group loop exactly."""
         circuit = dk16_rugged.circuit
         sequences = _sequences(circuit, seed=3)
-        reference = None
-        for width in WIDTHS:
-            for regroup in (True, False):
-                simulator = FaultSimulator(
-                    circuit, group_width=width, regroup=regroup
-                )
-                assert len(simulator.faults) > 63
-                core = _report_core(
-                    simulator.run(sequences, drop=drop)
-                )
-                if reference is None:
-                    reference = core
-                else:
-                    assert core == reference
+        oracle = FaultSimulator(circuit)
+        assert len(oracle.faults) > 63
+        expected = (
+            _report_core(reference_run(oracle, sequences, drop=drop)),
+            oracle.metrics.dump(),
+        )
+        results = _run_at_bounds(
+            lambda: FaultSimulator(circuit),
+            lambda simulator: simulator.run(sequences, drop=drop),
+        )
+        assert results == [expected] * len(BOUNDS)
 
     def test_random_circuits_invariant(self):
         for seed in (11, 12, 13):
             circuit = random_circuit(seed, num_gates=18, num_dffs=3)
             sequences = _sequences(circuit, seed=seed + 100)
-            cores = {
-                (width, regroup): _report_core(
-                    FaultSimulator(
-                        circuit, group_width=width, regroup=regroup
-                    ).run(sequences)
-                )
-                for width in WIDTHS
-                for regroup in (True, False)
-            }
-            assert len(set(map(repr, cores.values()))) == 1
+            results = _run_at_bounds(
+                lambda: FaultSimulator(circuit),
+                lambda simulator: simulator.run(sequences),
+            )
+            assert len(set(map(repr, results))) == 1
 
 
 class TestRunAnalyzedInvariance:
@@ -81,60 +89,26 @@ class TestRunAnalyzedInvariance:
         circuit = dk16_rugged.circuit
         analysis = analyze_faults(circuit, level=LEVEL_FULL)
         sequences = _sequences(circuit, seed=5, num_sequences=4)
-        reference = None
-        for width in WIDTHS:
-            for regroup in (True, False):
-                report = FaultSimulator(
-                    circuit, group_width=width, regroup=regroup
-                ).run_analyzed(sequences, analysis)
-                core = (
-                    report.detected,
-                    report.undetected,
-                    report.coverage_percent(),
-                )
-                if reference is None:
-                    reference = core
-                else:
-                    assert core == reference
+        results = _run_at_bounds(
+            lambda: FaultSimulator(circuit),
+            lambda simulator: simulator.run_analyzed(sequences, analysis),
+        )
+        assert len(set(map(repr, results))) == 1
 
 
 class TestSchedulingKnobs:
-    def test_default_width_is_63(self, two_bit_counter):
-        simulator = FaultSimulator(two_bit_counter)
-        assert simulator.group_width == 63
-        assert simulator.regroup is True
-
-    @pytest.mark.parametrize("width", [0, -1, 64, 1000])
-    def test_bad_width_rejected(self, two_bit_counter, width):
-        with pytest.raises(FaultError, match="group_width"):
-            FaultSimulator(two_bit_counter, group_width=width)
-
-    def test_narrow_width_costs_more_events(self, dk16_rugged):
-        """Width 1 runs one fault per word — strictly more machine-steps
-        than full words for the same science."""
+    def test_default_width_is_63(self, dk16_rugged):
+        """Counters are charged in 63-wide groups: a pass holding the
+        whole fault list charges what the group loop spends."""
         circuit = dk16_rugged.circuit
         sequences = _sequences(circuit, seed=7, num_sequences=2)
-        events = {}
-        for width in (1, 63):
-            simulator = FaultSimulator(circuit, group_width=width)
-            simulator.run(sequences)
-            events[width] = simulator.events_counter.snapshot()
-        assert events[1] > events[63]
-
-    def test_regroup_compacts_words(self, dk16_rugged):
-        """With drop-on-detect, regrouping survivors must need at most
-        as many evaluate calls (pattern batches) as the frozen static
-        grouping."""
-        circuit = dk16_rugged.circuit
-        sequences = _sequences(circuit, seed=9, num_sequences=6)
-        batches = {}
-        for regroup in (True, False):
-            simulator = FaultSimulator(circuit, regroup=regroup)
-            simulator.run(sequences)
-            batches[regroup] = simulator.metrics.counter(
-                "sim.pattern_batches", circuit=circuit.name
-            ).snapshot()
-        assert batches[True] <= batches[False]
+        assert simulator_module.MAX_GROUP_WIDTH == 63
+        lanes = FaultSimulator(circuit)
+        assert len(lanes.faults) + 1 <= simulator_module.LANE_BOUND
+        lanes.run(sequences)
+        oracle = FaultSimulator(circuit)
+        reference_run(oracle, sequences)
+        assert lanes.metrics.dump() == oracle.metrics.dump()
 
 
 class TestSingleFaultStepperCache:

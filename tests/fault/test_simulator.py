@@ -5,6 +5,7 @@ import pytest
 from repro.circuit import CircuitBuilder, ONE, X, ZERO
 from repro.errors import FaultError
 from repro.fault import Fault, FaultSimulator, collapse_faults
+from repro.fault.simulator import LaneRecord
 from repro.sim import TernarySimulator
 from repro._util import make_rng
 
@@ -98,33 +99,32 @@ class TestRunSemantics:
             FaultSimulator(builder.build())
 
     def test_state_free_simulation_accepts_none(self, two_bit_counter):
-        """``states_out=None`` runs state-free: same verdicts, no
-        accumulator (the contract :meth:`detects` relies on)."""
+        """A pass keeps raw state words and reads good states only when
+        a replay asks for them: the verdicts need none (the contract
+        :meth:`detects` relies on)."""
         simulator = FaultSimulator(two_bit_counter)
         sequence = [[1]] * 6
-        recorded = set()
-        with_states = simulator._simulate_sequence(
-            sequence, list(simulator.faults), recorded
-        )
-        without_states = simulator._simulate_sequence(
-            sequence, list(simulator.faults), None
-        )
-        assert with_states == without_states
-        assert recorded  # the recording path still records
+        (record,) = simulator.simulate_batch([sequence], simulator.faults)
+        assert len(record._states) == 1  # the reset state only
+        report = simulator.replay(record, simulator.faults)
+        assert set(report.detected) == set(record.first_steps)
+        assert report.states_traversed  # the recording path still records
 
     def test_detects_runs_state_free(self, two_bit_counter, monkeypatch):
         simulator = FaultSimulator(two_bit_counter)
         fault = simulator.faults[0]
         seen = []
-        original = simulator._simulate_group
+        original = LaneRecord.good_states
 
-        def spy(sequence, group, states_out):
-            seen.append(states_out)
-            return original(sequence, group, states_out)
+        def spy(record, steps):
+            seen.append(steps)
+            return original(record, steps)
 
-        monkeypatch.setattr(simulator, "_simulate_group", spy)
-        simulator.detects([[1]] * 4, fault)
-        assert seen and all(states is None for states in seen)
+        monkeypatch.setattr(LaneRecord, "good_states", spy)
+        assert simulator.detects([[1]] * 4, fault) == (
+            fault in simulator.run([[[1]] * 4], faults=[fault]).detected
+        )
+        assert len(seen) == 1  # the run() above, never detects()
 
     def test_more_than_63_faults_grouped(self, dk16_rugged):
         circuit = dk16_rugged.circuit

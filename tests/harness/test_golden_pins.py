@@ -7,7 +7,10 @@ circuits stop at their budget, so their reported values depend on the
 search order as well as on the circuit; pinning the full reports keeps
 that order fixed.  The HITEC/SEST pins do the same for the structural
 search: a changed decision order or five-valued collapse rule moves
-the backtrack count, the lifecycle records or the emitted tests.
+the backtrack count, the lifecycle records or the emitted tests.  The
+simulation-based pins do the same for fault simulation: a changed
+detection, trimming decision or charged step moves the emitted tests,
+the expansion or a ``sim.*`` counter.
 """
 
 import dataclasses
@@ -25,9 +28,11 @@ from repro.analysis.cycles import (
 from repro.analysis.seqdepth import DepthReport, sequential_depth_report
 from repro.atpg.hitec import HitecEngine
 from repro.atpg.sest import SestEngine
-from repro.fault.analysis import analyze_faults_cached
+from repro.atpg.simbased import SimBasedEngine
+from repro.fault.analysis import analyze_faults_cached, expand_result
 from repro.harness import build_pair
 from repro.harness.config import HarnessConfig, select_target_faults
+from repro.obs import Observability
 from repro.service.keys import circuit_structure_hash
 
 STRUCTURE_HASHES = {
@@ -245,3 +250,247 @@ def test_dk16_search_pinned(engine, side):
         json.dumps(result.test_set.sequences).encode()
     ).hexdigest()
     assert (result.counters(), digest) == SEARCH_PINS[(engine, side)]
+
+
+# The simulation-based engine (seed 23) under the quick budget on a
+# 40-fault sample drawn with seed 97: the expanded result's counters,
+# the engine registry's sim.* counters and the sha256 of the test set.
+SIMBASED_PINS = {
+    ("dk16.ji.sd", "original"): (
+        {
+            "atpg.backtracks": 0,
+            "atpg.cpu_seconds": 0.054,
+            "atpg.faults_aborted": 6,
+            "atpg.faults_detected": 23,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 29,
+            "atpg.frames_expanded": 0,
+            "atpg.states_examined": 24,
+            "atpg.states_traversed": 24,
+            "atpg.test_sequences": 8,
+            "atpg.test_vectors": 240,
+            "collapse.checkpoints": 18,
+            "collapse.dominated_classes": 56,
+            "collapse.equiv_classes": 320,
+            "collapse.faults_total": 592,
+            "collapse.representatives": 264,
+            "collapse.untestable_classes": 0,
+            "cover.faults_aborted": 15,
+            "cover.faults_detected": 445,
+            "cover.faults_redundant": 0,
+            "cover.faults_total": 592,
+            "cover.faults_untestable": 0,
+            "lifecycle.aborted_backtrack_limit": 0,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 6,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 23,
+            "lifecycle.detected_targeted": 0,
+            "lifecycle.faults_targeted": 6,
+            "search.invalid_events": 0,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 24,
+            "search.unclassified": 0,
+            "search.unique_invalid": 0,
+            "search.unique_valid": 24,
+            "search.valid_events": 24,
+            "sim.events": 32277,
+            "sim.expansion_events": 28340,
+        },
+        {
+            "sim.events{circuit=dk16.ji.sd}": 32277,
+            "sim.expansion_events{circuit=dk16.ji.sd}": 0,
+            "sim.faults_dropped{circuit=dk16.ji.sd}": 23,
+            "sim.pattern_batches{circuit=dk16.ji.sd}": 4079,
+            "sim.sequences{circuit=dk16.ji.sd}": 120,
+            "sim.words_packed{circuit=dk16.ji.sd}": 36711,
+        },
+        "6a4a0d02716bd3e9d559332984094db369451317b2aa5e4239c37bc41ccea33d",
+    ),
+    ("dk16.ji.sd", "retimed"): (
+        {
+            "atpg.backtracks": 0,
+            "atpg.cpu_seconds": 0.096,
+            "atpg.faults_aborted": 1,
+            "atpg.faults_detected": 34,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 35,
+            "atpg.frames_expanded": 0,
+            "atpg.states_examined": 149,
+            "atpg.states_traversed": 149,
+            "atpg.test_sequences": 10,
+            "atpg.test_vectors": 285,
+            "collapse.checkpoints": 35,
+            "collapse.dominated_classes": 64,
+            "collapse.equiv_classes": 344,
+            "collapse.faults_total": 616,
+            "collapse.representatives": 280,
+            "collapse.untestable_classes": 0,
+            "cover.faults_aborted": 2,
+            "cover.faults_detected": 510,
+            "cover.faults_redundant": 0,
+            "cover.faults_total": 616,
+            "cover.faults_untestable": 0,
+            "lifecycle.aborted_backtrack_limit": 0,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 1,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 34,
+            "lifecycle.detected_targeted": 0,
+            "lifecycle.faults_targeted": 1,
+            "search.invalid_events": 0,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 149,
+            "search.unclassified": 0,
+            "search.unique_invalid": 0,
+            "search.unique_valid": 149,
+            "search.valid_events": 149,
+            "sim.events": 28614,
+            "sim.expansion_events": 31260,
+        },
+        {
+            "sim.events{circuit=dk16.ji.sd.re}": 28614,
+            "sim.expansion_events{circuit=dk16.ji.sd.re}": 0,
+            "sim.faults_dropped{circuit=dk16.ji.sd.re}": 34,
+            "sim.pattern_batches{circuit=dk16.ji.sd.re}": 7295,
+            "sim.sequences{circuit=dk16.ji.sd.re}": 206,
+            "sim.words_packed{circuit=dk16.ji.sd.re}": 153195,
+        },
+        "2cc5ddcd06b3b96760e298ba44d8abb96982ef2ff097492fa4eb7b666aec3011",
+    ),
+    ("s510.jc.sd", "original"): (
+        {
+            "atpg.backtracks": 0,
+            "atpg.cpu_seconds": 0.096,
+            "atpg.faults_aborted": 2,
+            "atpg.faults_detected": 32,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 34,
+            "atpg.frames_expanded": 0,
+            "atpg.states_examined": 45,
+            "atpg.states_traversed": 45,
+            "atpg.test_sequences": 14,
+            "atpg.test_vectors": 495,
+            "collapse.checkpoints": 51,
+            "collapse.dominated_classes": 129,
+            "collapse.equiv_classes": 881,
+            "collapse.faults_total": 1638,
+            "collapse.representatives": 750,
+            "collapse.untestable_classes": 2,
+            "cover.faults_aborted": 4,
+            "cover.faults_detected": 1186,
+            "cover.faults_redundant": 0,
+            "cover.faults_total": 1638,
+            "cover.faults_untestable": 2,
+            "lifecycle.aborted_backtrack_limit": 0,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 2,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 32,
+            "lifecycle.detected_targeted": 0,
+            "lifecycle.faults_targeted": 2,
+            "search.invalid_events": 0,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 45,
+            "search.unclassified": 0,
+            "search.unique_invalid": 0,
+            "search.unique_valid": 45,
+            "search.valid_events": 45,
+            "sim.events": 39315,
+            "sim.expansion_events": 194825,
+        },
+        {
+            "sim.events{circuit=s510.jc.sd}": 39315,
+            "sim.expansion_events{circuit=s510.jc.sd}": 0,
+            "sim.faults_dropped{circuit=s510.jc.sd}": 32,
+            "sim.pattern_batches{circuit=s510.jc.sd}": 7475,
+            "sim.sequences{circuit=s510.jc.sd}": 209,
+            "sim.words_packed{circuit=s510.jc.sd}": 201825,
+        },
+        "55fee387de6407bc58700feccb54f1e932e995797929f82049cefdf7ee4ce3f2",
+    ),
+    ("s510.jc.sd", "retimed"): (
+        {
+            "atpg.backtracks": 0,
+            "atpg.cpu_seconds": 0.132,
+            "atpg.faults_aborted": 1,
+            "atpg.faults_detected": 31,
+            "atpg.faults_redundant": 0,
+            "atpg.faults_total": 32,
+            "atpg.frames_expanded": 0,
+            "atpg.states_examined": 242,
+            "atpg.states_traversed": 242,
+            "atpg.test_sequences": 14,
+            "atpg.test_vectors": 555,
+            "collapse.checkpoints": 67,
+            "collapse.dominated_classes": 134,
+            "collapse.equiv_classes": 901,
+            "collapse.faults_total": 1658,
+            "collapse.representatives": 765,
+            "collapse.untestable_classes": 2,
+            "cover.faults_aborted": 1,
+            "cover.faults_detected": 1309,
+            "cover.faults_redundant": 0,
+            "cover.faults_total": 1658,
+            "cover.faults_untestable": 2,
+            "lifecycle.aborted_backtrack_limit": 0,
+            "lifecycle.aborted_frame_limit": 0,
+            "lifecycle.aborted_stall": 1,
+            "lifecycle.aborted_time_budget": 0,
+            "lifecycle.detected_incidental": 31,
+            "lifecycle.detected_targeted": 0,
+            "lifecycle.faults_targeted": 1,
+            "search.invalid_events": 0,
+            "search.learned_prunes": 0,
+            "search.partial_states": 0,
+            "search.states_examined": 242,
+            "search.unclassified": 0,
+            "search.unique_invalid": 0,
+            "search.unique_valid": 242,
+            "search.valid_events": 242,
+            "sim.events": 62934,
+            "sim.expansion_events": 200855,
+        },
+        {
+            "sim.events{circuit=s510.jc.sd.re}": 62934,
+            "sim.expansion_events{circuit=s510.jc.sd.re}": 0,
+            "sim.faults_dropped{circuit=s510.jc.sd.re}": 31,
+            "sim.pattern_batches{circuit=s510.jc.sd.re}": 11177,
+            "sim.sequences{circuit=s510.jc.sd.re}": 279,
+            "sim.words_packed{circuit=s510.jc.sd.re}": 413549,
+        },
+        "e9a7a78863e7ec617c8a44597443162ac76430676b2e3f0d0764d7733ec64c6b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,side", sorted(SIMBASED_PINS))
+def test_simbased_pinned(name, side):
+    config = dataclasses.replace(
+        HarnessConfig.quick(), max_faults=40, fault_sample_seed=97
+    )
+    pair = build_pair(name)
+    circuit = (
+        pair.original_circuit if side == "original" else pair.retimed_circuit
+    )
+    analysis = analyze_faults_cached(circuit, level=config.collapse_level)
+    targets = select_target_faults(analysis, config)
+    obs = Observability()
+    result = SimBasedEngine(
+        circuit, budget=config.budget, rng_seed=23, obs=obs
+    ).run(targets)
+    expanded = expand_result(result, analysis, circuit)
+    sim_counters = {
+        key: value
+        for key, value in obs.metrics.dump().items()
+        if key.startswith("sim.")
+    }
+    digest = hashlib.sha256(
+        json.dumps(result.test_set.sequences).encode()
+    ).hexdigest()
+    assert (expanded.counters(), sim_counters, digest) == SIMBASED_PINS[
+        (name, side)
+    ]
