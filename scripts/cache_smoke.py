@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI smoke for the ATPG service layer: cold run, then warm run.
+"""CI smoke for the result cache: cold run, then warm run.
 
 Drives the same preset twice against one content-addressed result
 store and fails unless the second run is a pure cache replay:
@@ -11,25 +11,14 @@ store and fails unless the second run is a pure cache replay:
 * the rendered reports agree on ``science_text`` (everything except
   the wall-clock footer).
 
-By default the cold run's cache misses are executed by a spawned
-``python -m repro.service serve`` daemon, and the daemon's job-table
-stats are dumped to ``--stats-output`` as the CI artifact.  Pass
-``--no-daemon`` to exercise only the in-process store path.
-
-With the daemon up, the smoke also exercises its telemetry plane: the
-``metrics`` op is scraped after the cold run (per-op request counters
-must match the submitted cell count) and again after a direct
-cache-hit resubmit (``service.cache_hits`` must appear and read 1);
-two consecutive scrapes of the then-quiesced daemon must be
-byte-identical, and the final exposition is written to
-``<work-dir>/metrics.txt`` next to the daemon's ``telemetry.jsonl``
-for CI to upload.
+Each run's cache summary is left at ``<work-dir>/<cold|warm>/<run
+id>/service.json`` (CI uploads both).
 
 Usage::
 
     python scripts/cache_smoke.py                      # quick preset
-    python scripts/cache_smoke.py --jobs 2 --stats-output service-stats.json
-    python scripts/cache_smoke.py --preset smoke --no-daemon
+    python scripts/cache_smoke.py --jobs 2 --work-dir cache-smoke
+    python scripts/cache_smoke.py --preset smoke
 """
 
 import argparse
@@ -37,24 +26,16 @@ import dataclasses
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
-import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.harness import run_all  # noqa: E402
-from repro.harness.cache import ServiceSession  # noqa: E402
 from repro.harness.config import HarnessConfig  # noqa: E402
 from repro.harness.report import science_text  # noqa: E402
 from repro.harness.runner import build_task_graph  # noqa: E402
-from repro.service import (  # noqa: E402
-    ProtocolError,
-    ServiceClient,
-    ServiceError,
-)
 
 PRESETS = {
     "smoke": HarnessConfig.smoke,
@@ -91,21 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--work-dir",
         default=None,
         metavar="DIR",
-        help="holds the store, both runs and the daemon socket "
-        "(default: a temporary directory)",
-    )
-    parser.add_argument(
-        "--stats-output",
-        default=None,
-        metavar="FILE",
-        help="write the daemon stats + per-run cache summaries here "
-        "(the CI artifact)",
-    )
-    parser.add_argument(
-        "--no-daemon",
-        action="store_true",
-        help="skip the daemon: execute cold misses in-process and "
-        "only exercise the store",
+        help="holds the store and both runs (default: a temporary "
+        "directory)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
@@ -118,49 +86,11 @@ def check(condition, message):
         raise SmokeFailure(message)
 
 
-def spawn_daemon(socket_path, store_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        os.path.join(REPO_ROOT, "src")
-        + os.pathsep
-        + env.get("PYTHONPATH", "")
-    )
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "serve",
-            "--socket",
-            socket_path,
-            "--store",
-            store_dir,
-            "--jobs",
-            "2",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    client = ServiceClient(socket_path, timeout=30.0)
-    deadline = time.monotonic() + 60.0
-    while True:
-        try:
-            client.ping()
-            return process, client
-        except (ServiceError, ProtocolError):
-            if process.poll() is not None or time.monotonic() > deadline:
-                process.kill()
-                raise SmokeFailure("service daemon failed to come up")
-            time.sleep(0.05)
-
-
-def run_once(base, name, work_dir, jobs, socket_path):
+def run_once(base, name, work_dir, jobs):
     config = dataclasses.replace(
         base,
         runs_dir=os.path.join(work_dir, name),
         store_dir=os.path.join(work_dir, "store"),
-        service_socket=socket_path,
         jobs=jobs,
     )
     report = run_all(config=config, stream=io.StringIO(), quiet=True)
@@ -191,154 +121,50 @@ def main(argv=None) -> int:
         f"cells={cells} (work-dir {work_dir})"
     )
 
-    process = client = None
-    socket_path = None
-    if not args.no_daemon:
-        socket_path = os.path.join(work_dir, "svc.sock")
-        process, client = spawn_daemon(
-            socket_path, os.path.join(work_dir, "store")
-        )
-        emit(f"[cache-smoke] daemon up at {socket_path}")
+    cold_report, cold_dir, cold = run_once(base, "cold", work_dir, args.jobs)
+    emit(
+        f"[cache-smoke] cold: hits={cold['cache_hits']} "
+        f"misses={cold['cache_misses']}"
+    )
+    check(
+        cold["cache_hits"] == 0,
+        f"cold run hit the cache ({cold['cache_hits']} hits) — "
+        "the store was not empty",
+    )
+    check(
+        cold["cache_misses"] == cells,
+        f"cold run missed {cold['cache_misses']} cells, expected {cells}",
+    )
+    check(
+        cold["store"]["entries"] == cells,
+        f"store holds {cold['store']['entries']} entries after the "
+        f"cold run, expected {cells}",
+    )
 
-    daemon_stats = None
-    try:
-        cold_report, cold_dir, cold = run_once(
-            base, "cold", work_dir, args.jobs, socket_path
-        )
-        emit(
-            f"[cache-smoke] cold: hits={cold['cache_hits']} "
-            f"misses={cold['cache_misses']}"
-        )
-        check(
-            cold["cache_hits"] == 0,
-            f"cold run hit the cache ({cold['cache_hits']} hits) — "
-            "the store was not empty",
-        )
-        check(
-            cold["cache_misses"] == cells,
-            f"cold run missed {cold['cache_misses']} cells, "
-            f"expected {cells}",
-        )
-        check(
-            cold["store"]["entries"] == cells,
-            f"store holds {cold['store']['entries']} entries after the "
-            f"cold run, expected {cells}",
-        )
-        if client is not None:
-            # Cold-side telemetry: every miss went over the socket, so
-            # the daemon's per-op submit counter must equal the cell
-            # count, and its own cache saw only misses.
-            exposition = client.metrics()["exposition"]
-            lines = exposition.splitlines()
-            check(
-                f"service.requests{{op=submit}} {cells}" in lines,
-                "cold exposition does not count one submit per cell",
-            )
-            check(
-                "service.cache_hits 0" in lines,
-                "cold exposition reports daemon-side cache hits",
-            )
-            check(
-                f"service.cache_misses {cells}" in lines,
-                "cold exposition misses do not match the cell count",
-            )
-            emit("[cache-smoke] cold metrics exposition OK")
-
-        warm_report, warm_dir, warm = run_once(
-            base, "warm", work_dir, args.jobs, socket_path
-        )
-        emit(
-            f"[cache-smoke] warm: hits={warm['cache_hits']} "
-            f"misses={warm['cache_misses']}"
-        )
-        check(
-            warm["cache_hits"] == cells,
-            f"warm run hit only {warm['cache_hits']}/{cells} cells",
-        )
-        check(
-            warm["cache_misses"] == 0,
-            f"warm run computed {warm['cache_misses']} cells — "
-            "the cache is not serving",
-        )
-        check(
-            read(os.path.join(warm_dir, "ledger.jsonl"))
-            == read(os.path.join(cold_dir, "ledger.jsonl")),
-            "warm ledger differs from cold — rows did not replay "
-            "verbatim",
-        )
-        check(
-            science_text(warm_report) == science_text(cold_report),
-            "warm report science differs from cold",
-        )
-        emit("[cache-smoke] warm run is a byte-identical replay")
-
-        if client is not None:
-            # The warm harness is served by the parent-side store probe
-            # and never reaches the daemon, so resubmit one known cell
-            # directly to exercise the daemon's own cache-hit path.
-            session = ServiceSession(base)
-            task = build_task_graph(base)[0]
-            response = client.submit(
-                session.cell_key(task),
-                dataclasses.asdict(task),
-                base.to_dict(),
-            )
-            check(
-                response.get("cached") is True,
-                "daemon did not serve a known cell from its store",
-            )
-            check(
-                bool(response.get("trace_id")),
-                "daemon cache-hit response carries no trace id",
-            )
-            scrape = client.metrics()["exposition"]
-            check(
-                scrape == client.metrics()["exposition"],
-                "two scrapes of a quiesced daemon are not byte-identical",
-            )
-            check(
-                "service.cache_hits 1" in scrape.splitlines(),
-                "warm exposition does not show the daemon-side cache hit",
-            )
-            metrics_file = os.path.join(work_dir, "metrics.txt")
-            with open(metrics_file, "w", encoding="utf-8") as handle:
-                handle.write(scrape)
-            emit(f"[cache-smoke] metrics artifact: {metrics_file}")
-
-            daemon_stats = client.stats()
-            check(
-                daemon_stats["store"]["entries"] == cells,
-                "daemon store occupancy disagrees with the cell count",
-            )
-    finally:
-        if client is not None:
-            try:
-                client.shutdown()
-            except (ServiceError, ProtocolError):
-                pass
-        if process is not None:
-            try:
-                process.wait(timeout=30.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-
-    if args.stats_output:
-        directory = os.path.dirname(args.stats_output)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        artifact = {
-            "preset": args.preset,
-            "jobs": args.jobs,
-            "cells": cells,
-            "cold": cold,
-            "warm": warm,
-            "daemon": daemon_stats,
-        }
-        with open(args.stats_output, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        emit(f"[cache-smoke] stats artifact: {args.stats_output}")
-
+    warm_report, warm_dir, warm = run_once(base, "warm", work_dir, args.jobs)
+    emit(
+        f"[cache-smoke] warm: hits={warm['cache_hits']} "
+        f"misses={warm['cache_misses']}"
+    )
+    check(
+        warm["cache_hits"] == cells,
+        f"warm run hit only {warm['cache_hits']}/{cells} cells",
+    )
+    check(
+        warm["cache_misses"] == 0,
+        f"warm run computed {warm['cache_misses']} cells — "
+        "the cache is not serving",
+    )
+    check(
+        read(os.path.join(warm_dir, "ledger.jsonl"))
+        == read(os.path.join(cold_dir, "ledger.jsonl")),
+        "warm ledger differs from cold — rows did not replay verbatim",
+    )
+    check(
+        science_text(warm_report) == science_text(cold_report),
+        "warm report science differs from cold",
+    )
+    emit("[cache-smoke] warm run is a byte-identical replay")
     emit("[cache-smoke] OK")
     return 0
 

@@ -5,13 +5,12 @@
     python -m repro perf diff a.json b.json   # perf snapshots & gates
     python -m repro report runs/...           # search & coverage reports
     python -m repro fault-analysis dk16.ji.sd # static fault analyzer
-    python -m repro service serve --store ... # ATPG-as-a-service daemon
 
 Each command delegates, arguments untouched, to the matching
 subsystem CLI (``repro.harness``, ``repro.lint``, ``repro.obs.perf``,
-``repro.obs.report``, ``repro.fault.analysis``, ``repro.service``).
-The per-subsystem ``python -m`` spellings of the other commands keep
-working but print a one-line pointer here.
+``repro.obs.report``, ``repro.fault.analysis``).  The per-subsystem
+``python -m`` spellings keep working but print a one-line pointer
+here.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ COMMANDS = {
     "fault-analysis": (
         "repro.fault.analysis.__main__",
         "static fault analyzer (collapse/dominance/untestable)",
-    ),
-    "service": (
-        "repro.service.__main__",
-        "result-cache daemon and client (ATPG as a service)",
     ),
 }
 

@@ -124,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result store: serve already-computed "
         "cells from cache and store fresh ones (repro.service)",
     )
-    parser.add_argument(
-        "--service-socket",
-        default=None,
-        metavar="PATH",
-        help="send cache misses to the service daemon at this unix "
-        "socket instead of a local worker pool",
-    )
     return parser
 
 
@@ -161,7 +154,6 @@ def main(argv=None) -> int:
         quiet=args.quiet,
         perf_snapshot=args.perf_snapshot,
         store_dir=args.store,
-        service_socket=args.service_socket,
     )
     return 0
 

@@ -1,4 +1,4 @@
-"""Cache-first execution: the harness as a client of repro.service.
+"""Cache-first execution: the harness in front of repro.service's store.
 
 With ``config.store_dir`` set, :func:`repro.harness.runner
 .run_experiment` routes every to-do cell through a
@@ -13,12 +13,12 @@ With ``config.store_dir`` set, :func:`repro.harness.runner
   — report assembly and resume then treat them exactly like freshly
   computed rows, so a warm run's tables and reports are byte-identical
   to the cold run that populated the store;
-* cache misses execute as usual (local pool, or a service daemon when
-  ``config.service_socket`` is set) and their successful records are
+* cache misses execute as usual, in-process at ``jobs=1`` or in the
+  spawned-worker pool otherwise, and their successful records are
   stored for every later run.
 
 Cache traffic is counted in ``service.cache_hits`` /
-``service.cache_misses`` / ``service.queue_depth`` on a parent-side
+``service.cache_misses`` on a parent-side
 :class:`~repro.obs.MetricsRegistry`, dumped to
 ``<run_dir>/service.json``.  Probing happens in canonical task order
 in the parent, so the counters are deterministic across ``--jobs``
@@ -28,13 +28,11 @@ stay byte-identical between cold and warm runs).
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..obs import MetricsRegistry
-from ..obs.telemetry import TraceContext
-from ..service import ResultStore, ServiceClient
+from ..service import ResultStore
 from ..service import keys as service_keys
 from . import ledger as ledger_mod
 from .config import HarnessConfig
@@ -45,21 +43,15 @@ Emit = Callable[[str], None]
 
 
 class ServiceSession:
-    """One run's view of the result cache (and optional daemon)."""
+    """One run's view of the result cache at ``config.store_dir``."""
 
     def __init__(self, config: HarnessConfig):
         self.config = config
-        self.store: Optional[ResultStore] = (
-            ResultStore(config.store_dir) if config.store_dir else None
-        )
+        self.store = ResultStore(config.store_dir)
         self.metrics = MetricsRegistry()
         self.hits = self.metrics.counter("service.cache_hits")
         self.misses = self.metrics.counter("service.cache_misses")
-        self.queue_depth = self.metrics.gauge("service.queue_depth")
         self._cell_keys: Dict[str, str] = {}
-        #: task key -> trace id for cells routed through the daemon
-        #: (advisory: joins this run to the daemon's telemetry.jsonl).
-        self.daemon_traces: Dict[str, str] = {}
 
     # -- keys ----------------------------------------------------------
 
@@ -90,14 +82,11 @@ class ServiceSession:
         """Append cache hits to the run ledger; returns the misses.
 
         Probes in canonical task order so hit/miss counters are
-        scheduling-independent.  Without a store every task is a miss
-        (counted, so daemon-only runs still report traffic).
+        scheduling-independent.
         """
         remaining = []
         for task in tasks:
-            data = (
-                self.store.get(self.cell_key(task)) if self.store else None
-            )
+            data = self.store.get(self.cell_key(task))
             if data is None:
                 self.misses.inc()
                 remaining.append(task)
@@ -114,8 +103,6 @@ class ServiceSession:
     ) -> int:
         """Persist the successful records of locally computed cells;
         returns how many entries were written."""
-        if self.store is None:
-            return 0
         completed = ledger_mod.completed_by_key(records, fingerprint)
         stored = 0
         for task in tasks:
@@ -128,67 +115,13 @@ class ServiceSession:
             stored += 1
         return stored
 
-    # -- daemon execution ----------------------------------------------
-
-    def run_via_daemon(
-        self, tasks: List, ledger_file: str, emit: Emit
-    ) -> None:
-        """Execute cache misses on the daemon at ``config.service_socket``.
-
-        Submits every cell (the daemon dedups in-flight keys), then
-        collects results in canonical order, appending each returned
-        record — success or quarantine — to the run ledger so report
-        assembly is oblivious to where the cell ran.
-
-        Each submit is stamped with a fresh trace context whose trace
-        id is kept in :attr:`daemon_traces` (and the session summary),
-        so the daemon-side telemetry event log can be joined back to
-        this run's cells.
-        """
-        client = ServiceClient(self.config.service_socket)
-        config_data = self.config.to_dict()
-        jobs = []
-        for task in tasks:
-            context = TraceContext.new()
-            response = client.submit(
-                self.cell_key(task),
-                dataclasses.asdict(task),
-                config_data,
-                trace=context,
-            )
-            self.daemon_traces[task.key] = response.get(
-                "trace_id", context.trace_id
-            )
-            jobs.append((task, response["job"]))
-        pending = len(jobs)
-        self.queue_depth.set(pending)
-        for task, job in jobs:
-            # No client-side deadline: the daemon enforces per-task
-            # timeouts/retries and always reaches a terminal state.
-            response = client.result(job)
-            pending -= 1
-            self.queue_depth.set(pending)
-            record_data = response.get("record")
-            if record_data is not None:
-                ledger_mod.append_record(
-                    ledger_file, TaskRecord.from_dict(record_data)
-                )
-            emit(
-                f"[service] {task.key} {response['state']} via daemon"
-            )
-
     # -- reporting -----------------------------------------------------
 
     def summary(self) -> Dict:
         """JSON-able session summary (written to ``service.json``)."""
-        data = {
+        return {
             "metrics": self.metrics.dump(),
             "cache_hits": self.hits.value,
             "cache_misses": self.misses.value,
-            "store": self.store.stats().to_dict() if self.store else None,
-            "socket": self.config.service_socket,
-            # None (not {}) when no cell went through the daemon, so
-            # store-only cold/warm summaries stay comparable.
-            "daemon_traces": self.daemon_traces or None,
+            "store": self.store.stats().to_dict(),
         }
-        return data

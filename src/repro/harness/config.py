@@ -77,9 +77,6 @@ class HarnessConfig:
     # recomputed.  Cache-served rows are byte-identical to computed
     # ones, so this is pure execution policy.
     store_dir: Optional[str] = None
-    # Unix-domain socket of a running service daemon; cache misses are
-    # submitted there instead of executing in this process's pool.
-    service_socket: Optional[str] = None
 
     #: Fields that change experiment results (everything else is
     #: execution policy).

@@ -47,12 +47,11 @@ def run_all(
     reporter: Optional[Reporter] = None,
     perf_snapshot: Optional[str] = None,
     store_dir: Optional[str] = None,
-    service_socket: Optional[str] = None,
 ) -> str:
     """Regenerate every table/figure; returns the combined report text.
 
-    ``jobs``/``resume``/``runs_dir``/``profile``/``store_dir``/
-    ``service_socket`` override the corresponding config fields.
+    ``jobs``/``resume``/``runs_dir``/``profile``/``store_dir`` override
+    the corresponding config fields.
     Progress lines go to ``stream`` (via the ``repro.harness`` logger)
     as cells complete; the report is also written to
     ``<run_dir>/report.txt``.  With profiling on, the assembled
@@ -64,9 +63,7 @@ def run_all(
     With ``store_dir`` set the run is cache-first: cells whose
     canonical key is already stored are served from the cache (and
     fresh results stored back), producing byte-identical reports in a
-    fraction of the time; ``service_socket`` additionally sends cache
-    misses to a running daemon instead of a local pool (see
-    :mod:`repro.harness.cache`).
+    fraction of the time (see :mod:`repro.harness.cache`).
     """
     config = config or HarnessConfig.default()
     overrides = {}
@@ -80,8 +77,6 @@ def run_all(
         overrides["profile"] = profile
     if store_dir is not None:
         overrides["store_dir"] = store_dir
-    if service_socket is not None:
-        overrides["service_socket"] = service_socket
     if overrides:
         config = dataclasses.replace(config, **overrides)
 

@@ -130,7 +130,7 @@ def ledger_path(runs_dir: str, run_id: str) -> str:
     return os.path.join(run_directory(runs_dir, run_id), LEDGER_NAME)
 
 
-#: Serializes appends from threads (the runner's pool, the daemon).
+#: Serializes appends from the parallel pool's threads.
 _APPEND_LOCK = threading.Lock()
 
 
@@ -142,6 +142,31 @@ def append_record(path: str, record: TaskRecord) -> None:
         handle.write(record.to_json() + "\n")
         handle.flush()
         os.fsync(handle.fileno())
+
+
+def order_tail(path: str, start: int, keys: List[str]) -> None:
+    """Put the rows appended after byte ``start`` into the order of
+    ``keys``; one key's rows keep their attempt order.
+
+    The parallel pool appends rows as cells finish.  Reordering them
+    makes its ledger equal, line for line, to a serial run's, and so to
+    a warm replay, which appends cached rows in task-graph order.  The
+    rewrite is atomic (tmp file, fsync, ``os.replace``): a reader sees
+    the old file or the new one, each holding every row.
+    """
+    with open(path, "rb") as handle:
+        head = handle.read(start)
+        lines = handle.read().splitlines(keepends=True)
+    rank = {key: index for index, key in enumerate(keys)}
+    ordered = sorted(lines, key=lambda line: rank[json.loads(line)["key"]])
+    if ordered == lines:
+        return
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "wb") as handle:
+        handle.write(head + b"".join(ordered))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
 
 
 def terminate_torn_tail(path: str) -> None:

@@ -1,9 +1,8 @@
 """Parallel, fault-tolerant execution engine for the experiment harness.
 
 The experiment is a task graph of independent cells — one per (circuit
-pair × engine) plus the global table cells.  Every cell, in a local run
-or on the service daemon, goes through one attempt loop,
-:func:`run_cell`, with:
+pair × engine) plus the global table cells.  Every cell goes through
+one attempt loop, :func:`run_cell`, with:
 
 * crash isolation — with ``jobs > 1`` each attempt runs in a spawned
   worker process, so a worker that dies (exception, segfault, OOM kill)
@@ -407,26 +406,6 @@ def _classify(
     )
 
 
-class CellHooks:
-    """What a caller adds to :func:`run_cell` (this base adds nothing):
-    the parallel pool stops a run through :meth:`cancelled` and
-    :meth:`started`; the service daemon also emits telemetry."""
-
-    def cancelled(self) -> bool:
-        """True once the cell must stop: no further attempt starts, and
-        an attempt that did not succeed writes no row."""
-        return False
-
-    def started(self, attempt: int, process) -> None:
-        """A spawned attempt's worker ``process`` is running."""
-
-    def failed(self, attempt: int, outcome: str, error: str) -> None:
-        """An attempt crashed or timed out; its row is written."""
-
-    def quarantined(self, attempt: int) -> None:
-        """Every attempt failed; the quarantine row is written."""
-
-
 def _spawn_attempt(
     task: TaskSpec,
     config: HarnessConfig,
@@ -440,7 +419,7 @@ def _spawn_attempt(
     is None when the worker left no result file."""
     safe = task.key.replace(":", "_").replace("/", "_")
     result_path = os.path.join(results_dir, f"{safe}.{attempt}.json")
-    # A file left by an earlier run or job must never be read as this
+    # A file left by an earlier run must never be read as this
     # attempt's result.
     if os.path.exists(result_path):
         os.remove(result_path)
@@ -475,47 +454,46 @@ def run_cell(
     results_dir: str,
     ledger_file: str,
     emit: Emit,
-    *,
-    spawn: bool,
-    hooks: CellHooks = CellHooks(),
+    pool: Optional[_Pool] = None,
 ) -> Optional[TaskRecord]:
     """Run one cell through every attempt it gets; the one place the
     retry, timeout and quarantine rules live.
 
     Attempt ``n`` runs with the budget scaled by
-    ``retry_budget_scale ** n``: in this process (``spawn=False``; no
-    timeout, since only a process can be killed) or in a spawned worker
-    that writes ``<results_dir>/<key>.<n>.json``.  Every attempt's row
-    is appended to ``ledger_file``; when all ``max_task_retries + 1``
-    attempts fail, one ``quarantined`` row follows.  Returns the ``ok``
-    or ``quarantined`` row, or None when ``hooks.cancelled()`` stopped
-    the cell first.
+    ``retry_budget_scale ** n``: in this process (no ``pool``; no
+    timeout, since only a process can be killed) or, for a ``pool``
+    cell, in a spawned worker that writes
+    ``<results_dir>/<key>.<n>.json``.  Every attempt's row is appended
+    to ``ledger_file``; when all ``max_task_retries + 1`` attempts
+    fail, one ``quarantined`` row follows.  Returns the ``ok`` or
+    ``quarantined`` row, or None when the pool was stopped first: then
+    no further attempt starts, and an attempt that did not succeed
+    writes no row.
     """
     fingerprint = config.fingerprint()
-    if spawn:
+    if pool is not None:
         os.makedirs(results_dir, exist_ok=True)
     for attempt in range(config.max_task_retries + 1):
-        if hooks.cancelled():
+        if pool is not None and pool.cancelled():
             return None
         attempt_config = _scaled_config(config, attempt)
         start = time.monotonic()
-        if spawn:
-            result, exitcode, timed_out = _spawn_attempt(
-                task, attempt_config, results_dir, attempt,
-                lambda process: hooks.started(attempt, process),
-            )
-        else:
+        if pool is None:
             # The JSON round-trip matches what a worker result file
             # goes through, keeping serial and parallel rows identical.
             result = json.loads(
                 json.dumps(_attempt_result(task, attempt_config))
             )
             exitcode, timed_out = 0, False
+        else:
+            result, exitcode, timed_out = _spawn_attempt(
+                task, attempt_config, results_dir, attempt, pool.started
+            )
         wall = time.monotonic() - start
         outcome, payload, rss_kb, error = _classify(
             result, exitcode, timed_out, config.task_timeout_seconds
         )
-        if outcome != "ok" and hooks.cancelled():
+        if outcome != "ok" and pool is not None and pool.cancelled():
             return None
         record = _record_for(
             task, fingerprint, attempt, config, outcome, wall,
@@ -526,14 +504,12 @@ def run_cell(
             emit(f"{task.key} ok ({wall:.1f}s)")
             return record
         emit(f"{task.key} {outcome} (attempt {attempt})")
-        hooks.failed(attempt, outcome, error)
     record = _record_for(
         task, fingerprint, attempt, config, "quarantined", 0.0,
         error=f"quarantined after {attempt + 1} attempt(s): {outcome}",
     )
     ledger_mod.append_record(ledger_file, record)
     emit(f"{task.key} quarantined")
-    hooks.quarantined(attempt)
     return record
 
 
@@ -550,11 +526,11 @@ def _run_serial(
     for task in tasks:
         run_cell(
             task, config, results_dir, ledger_file,
-            lambda line: emit(f"[runner] {line}"), spawn=False,
+            lambda line: emit(f"[runner] {line}"),
         )
 
 
-class _Pool(CellHooks):
+class _Pool:
     """The cells of :func:`_run_parallel`, handed out in task-graph
     order.  Once stopped it hands out none, no running cell starts
     another attempt or writes a failed row, and every live worker is
@@ -573,7 +549,8 @@ class _Pool(CellHooks):
     def cancelled(self) -> bool:
         return self._stopped
 
-    def started(self, attempt: int, process) -> None:
+    def started(self, process) -> None:
+        """A spawned attempt's worker ``process`` is running."""
         with self._lock:
             self._processes.append(process)
             if self._stopped:
@@ -594,8 +571,10 @@ def _run_parallel(
     emit: Emit,
 ) -> None:
     """``config.jobs`` threads take the cells in task-graph order and
-    run each through :func:`run_cell` in spawned workers."""
+    run each through :func:`run_cell` in spawned workers; the rows they
+    append are then put back in task-graph order."""
     results_dir = os.path.join(run_dir, "results")
+    start = os.path.getsize(ledger_file) if os.path.exists(ledger_file) else 0
     pool = _Pool(tasks)
     errors: List[BaseException] = []
 
@@ -604,8 +583,7 @@ def _run_parallel(
             for task in iter(pool.next_task, None):
                 run_cell(
                     task, config, results_dir, ledger_file,
-                    lambda line: emit(f"[runner] {line}"),
-                    spawn=True, hooks=pool,
+                    lambda line: emit(f"[runner] {line}"), pool,
                 )
         except Exception as exc:  # re-raised by the calling thread
             errors.append(exc)
@@ -625,6 +603,7 @@ def _run_parallel(
         raise
     if errors:
         raise errors[0]
+    ledger_mod.order_tail(ledger_file, start, [task.key for task in tasks])
 
 
 def assemble_trace(
@@ -736,9 +715,9 @@ def run_experiment(
         )
 
     # Cache-first path (repro.harness.cache): hits land in the ledger
-    # before any execution, misses run locally or on the daemon.
+    # before any execution, misses run below.
     session = None
-    if config.store_dir or config.service_socket:
+    if config.store_dir:
         from .cache import ServiceSession
 
         session = ServiceSession(config)
@@ -750,9 +729,7 @@ def run_experiment(
             )
 
     if todo:
-        if session is not None and config.service_socket:
-            session.run_via_daemon(todo, ledger_file, emit)
-        elif config.jobs <= 1:
+        if config.jobs <= 1:
             _run_serial(todo, config, ledger_file, run_dir, emit)
         else:
             _run_parallel(todo, config, ledger_file, run_dir, emit)
@@ -763,7 +740,7 @@ def run_experiment(
 
     service_file = None
     if session is not None:
-        if todo and not config.service_socket:
+        if todo:
             stored = session.store_fresh(todo, records, fingerprint)
             if stored:
                 emit(f"[service] stored {stored} fresh cell(s)")

@@ -23,14 +23,12 @@ is benchmarked to stay within a few percent of un-instrumented runs.
 from .metrics import (
     Counter,
     DEFAULT_BUCKETS,
-    EXPOSITION_HEADER,
     Gauge,
     Histogram,
     MetricsError,
     MetricsRegistry,
     merge_dumps,
     parse_key,
-    render_exposition,
     render_key,
     render_metrics_summary,
 )
@@ -46,26 +44,12 @@ from .trace import (
 from .export import (
     TRACE_NAME,
     canonical_lines,
-    read_jsonl,
     read_trace_jsonl,
     render_rollup,
     rollup_by_path,
     span_to_line,
     strip_wall_fields,
     write_trace_jsonl,
-)
-from .telemetry import (
-    EVENT_KINDS,
-    LATENCY_BUCKETS,
-    TELEMETRY_NAME,
-    TelemetryLog,
-    TraceContext,
-    assemble_job_trace,
-    assemble_traces,
-    gen_span_id,
-    gen_trace_id,
-    load_events,
-    summarize_jobs,
 )
 
 
@@ -98,42 +82,28 @@ class Observability:
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "EVENT_KINDS",
-    "EXPOSITION_HEADER",
     "Gauge",
     "Histogram",
-    "LATENCY_BUCKETS",
     "MetricsError",
     "MetricsRegistry",
     "NULL_SINK",
     "NullSink",
     "Observability",
     "RecordingSink",
-    "TELEMETRY_NAME",
     "TRACE_NAME",
-    "TelemetryLog",
-    "TraceContext",
     "Tracer",
     "annotate",
-    "assemble_job_trace",
-    "assemble_traces",
     "canonical_lines",
-    "gen_span_id",
-    "gen_trace_id",
-    "load_events",
     "make_span_record",
     "merge_dumps",
     "null_tracer",
     "parse_key",
-    "read_jsonl",
     "read_trace_jsonl",
-    "render_exposition",
     "render_key",
     "render_metrics_summary",
     "render_rollup",
     "rollup_by_path",
     "span_to_line",
     "strip_wall_fields",
-    "summarize_jobs",
     "write_trace_jsonl",
 ]

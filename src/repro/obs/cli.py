@@ -13,11 +13,11 @@ Every reporting CLI in this repository speaks the same dialect:
 * a ``BrokenPipeError``-tolerant entry point (``... | head`` must not
   produce a traceback).
 
-``repro.obs.report``, ``repro.obs.perf``,
-``scripts/trace_summary.py`` and ``scripts/telemetry_summary.py`` all
-build on these helpers instead of re-implementing them.  This module
-must stay import-light (stdlib only): the scripts import it before any
-heavy subsystem, and :data:`LEDGER_NAME` deliberately mirrors
+``repro.obs.report``, ``repro.obs.perf`` and
+``scripts/trace_summary.py`` all build on these helpers instead of
+re-implementing them.  This module must stay import-light (stdlib
+only): the scripts import it before any heavy subsystem, and
+:data:`LEDGER_NAME` deliberately mirrors
 ``repro.harness.ledger.LEDGER_NAME`` rather than importing the harness.
 """
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 TRACE_NAME = "trace.jsonl"
 
@@ -49,42 +49,6 @@ def read_trace_jsonl(path: str) -> List[Dict[str, Any]]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def read_jsonl(
-    path: str, tolerant: bool = False
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Read any JSONL record stream; returns ``(records, dropped)``.
-
-    With ``tolerant`` set, undecodable or non-object lines are dropped
-    and counted instead of raised — the telemetry event log must stay
-    readable after a daemon died mid-write (its torn tail is at most
-    one line).  Without it, a bad line raises like
-    :func:`read_trace_jsonl`.
-    """
-    records: List[Dict[str, Any]] = []
-    dropped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if not tolerant:
-                    raise
-                dropped += 1
-                continue
-            if not isinstance(record, dict):
-                if not tolerant:
-                    raise ValueError(
-                        f"JSONL record is not an object: {line[:80]!r}"
-                    )
-                dropped += 1
-                continue
-            records.append(record)
-    return records, dropped
 
 
 def strip_wall_fields(record: Dict[str, Any]) -> Dict[str, Any]:

@@ -306,70 +306,6 @@ def _merge_value(base: Any, incoming: Any, key: str) -> Any:
     return base + incoming
 
 
-#: First line of every exposition dump; bump when the text format
-#: changes shape so scrapers can dispatch on it.
-EXPOSITION_HEADER = "# repro-metrics exposition v1"
-
-
-def _with_label(labels: LabelKey, key: str, value: str) -> LabelKey:
-    """A label set extended by one pair, re-sorted (the
-    :func:`render_key` contract)."""
-    return tuple(sorted(labels + ((key, value),)))
-
-
-def render_exposition(dump: Dict[str, Any]) -> str:
-    """Prometheus-style text exposition of a registry dump.
-
-    One sample line per instrument (histograms expand into cumulative
-    ``_bucket{le=...}`` series plus ``_sum``/``_count``), each name
-    preceded by one ``# TYPE`` comment.  Keys are spelled exactly as
-    :func:`render_key` renders them — label values escaped, so every
-    sample key round-trips through :func:`parse_key`.  Instruments
-    render in sorted dump-key order (bucket lines expand within their
-    histogram in bound order): two dumps of equal registries render
-    byte-identical expositions, and a quiesced daemon scrapes
-    deterministically.
-    """
-    lines: List[str] = [EXPOSITION_HEADER]
-    typed: set = set()
-    for key in sorted(dump):
-        name, labels = parse_key(key)
-        value = dump[key]
-        if isinstance(value, dict) and "counts" in value:
-            kind = "histogram"
-        elif isinstance(value, dict) and "gauge" in value:
-            kind = "gauge"
-        else:
-            kind = "counter"
-        if name not in typed:
-            typed.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-        if kind == "counter":
-            lines.append(f"{key} {_num(value)}")
-        elif kind == "gauge":
-            lines.append(f"{key} {_num(value['gauge'])}")
-        else:
-            cumulative = 0
-            for bound, count in zip(value["bounds"], value["counts"]):
-                cumulative += count
-                bucket = render_key(
-                    f"{name}_bucket", _with_label(labels, "le", _num(bound))
-                )
-                lines.append(f"{bucket} {cumulative}")
-            cumulative += value["counts"][-1]
-            bucket = render_key(
-                f"{name}_bucket", _with_label(labels, "le", "+Inf")
-            )
-            lines.append(f"{bucket} {cumulative}")
-            lines.append(
-                f"{render_key(f'{name}_sum', labels)} {_num(value['sum'])}"
-            )
-            lines.append(
-                f"{render_key(f'{name}_count', labels)} {value['count']}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def render_metrics_summary(
     dump: Dict[str, Any], title: str = "Metrics"
 ) -> str:

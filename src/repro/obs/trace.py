@@ -188,11 +188,10 @@ def make_span_record(
 ) -> Dict[str, Any]:
     """The one span-record shape every producer emits.
 
-    Shared by :class:`Tracer` and the cross-process reassembly in
-    :mod:`repro.obs.telemetry`, so exporters and equivalence checks can
-    rely on a single schema: fingerprinted fields (``seq``/``parent``/
-    ``name``/``path``/``attrs``/``t0``/``t1``) plus ``wall``-prefixed
-    machine-dependent metadata.
+    Exporters and equivalence checks rely on this single schema:
+    fingerprinted fields (``seq``/``parent``/``name``/``path``/
+    ``attrs``/``t0``/``t1``) plus ``wall``-prefixed machine-dependent
+    metadata.
     """
     return {
         "seq": seq,

@@ -1,9 +1,9 @@
-"""ATPG-as-a-service: persistent daemon + content-addressed result cache.
+"""Content-addressed result cache for experiment cells.
 
-The harness ledger (PR 2) already fingerprints every (circuit pair ×
-engine × config) cell; this package promotes that fingerprint into a
-service layer so any cell ever computed — across runs, presets and
-users — is served from cache instead of recomputed:
+The harness ledger already fingerprints every (circuit pair × engine ×
+config) cell; this package promotes that fingerprint into a cache key,
+so any cell ever computed — across runs, presets and users — is served
+from the store instead of recomputed:
 
 * :mod:`repro.service.keys` — the **one** canonical cell-key schema.
   ``HarnessConfig.fingerprint()`` and the resume path of
@@ -13,24 +13,11 @@ users — is served from cache instead of recomputed:
 * :mod:`repro.service.store` — content-addressed on-disk store of full
   :class:`~repro.harness.ledger.TaskRecord` rows with atomic fsync'd
   writes, integrity hashes and corruption quarantine.
-* :mod:`repro.service.daemon` — a long-lived worker-pool daemon
-  (``python -m repro.service serve``) reusing the runner's spawned
-  worker machinery (timeouts, retries, quarantine, deterministic
-  WorkClock) behind an async job API on a unix-domain socket.
-* :mod:`repro.service.client` — the line-delimited JSON protocol and a
-  blocking client (``python -m repro.service submit|get|stats``); the
-  harness's cache-first execution path
-  (:func:`repro.harness.experiment.run_all` with ``store_dir``/
-  ``service_socket`` set) is just another client.
 
-The daemon also carries a telemetry plane (PR 9, advisory only — never
-part of ledger rows or perf fingerprints): every submit propagates a
-client :class:`~repro.obs.telemetry.TraceContext` through queue and
-worker spans into one reassemblable trace, a ``telemetry.jsonl`` event
-log records the job lifecycle next to the ledger, a watchdog thread
-flags stuck workers and over-deadline jobs, and the ``metrics`` op /
-``python -m repro.service metrics`` exposes the daemon's registry in
-Prometheus text format.
+The harness's cache-first execution path
+(:func:`repro.harness.experiment.run_all` with ``store_dir`` set, see
+:mod:`repro.harness.cache`) probes the store before running anything
+and stores every fresh success back.
 """
 
 from .keys import (
@@ -42,41 +29,14 @@ from .keys import (
     science_payload,
 )
 from .store import ResultStore, StoreStats
-from .client import (
-    DEFAULT_SOCKET,
-    ProtocolError,
-    ServiceClient,
-    ServiceError,
-    recv_message,
-    send_message,
-)
-
-
-def __getattr__(name):
-    # ServiceDaemon is loaded lazily: repro.harness.config imports this
-    # package for the shared key schema, and the daemon module imports
-    # repro.harness for the runner machinery — an eager import here
-    # would close that cycle mid-initialization.
-    if name == "ServiceDaemon":
-        from .daemon import ServiceDaemon
-
-        return ServiceDaemon
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "DEFAULT_SOCKET",
     "KEY_SCHEMA_VERSION",
-    "ProtocolError",
     "ResultStore",
-    "ServiceClient",
-    "ServiceDaemon",
-    "ServiceError",
     "StoreStats",
     "cell_key",
     "cell_key_payload",
     "circuit_structure_hash",
     "config_fingerprint",
-    "recv_message",
     "science_payload",
-    "send_message",
 ]

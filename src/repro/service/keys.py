@@ -23,8 +23,7 @@ free) JSON payload:
   other.
 
 This module must stay import-light (no :mod:`repro.harness` imports):
-the harness imports *us* to build fingerprints, and the daemon's
-protocol layer uses the same helpers standalone.
+the harness imports *us* to build fingerprints.
 """
 
 from __future__ import annotations

@@ -160,6 +160,24 @@ class TestLoadRecords:
         assert os.path.getsize(path) == size
         terminate_torn_tail(str(tmp_path / "missing.jsonl"))  # no raise
 
+    def test_order_tail_sorts_rows_after_start_by_key_order(self, tmp_path):
+        """Rows before ``start`` stay put; later rows follow the key
+        order, and one key's attempts keep their own order."""
+        import os
+
+        path = str(tmp_path / "ledger.jsonl")
+        append_record(path, record(key="z"))
+        start = os.path.getsize(path)
+        for key, attempt in (("c", 0), ("a", 0), ("c", 1), ("b", 0)):
+            append_record(path, record(key=key, attempt=attempt))
+        ledger_mod.order_tail(path, start, ["a", "b", "c", "z"])
+        records, torn = load_records(path)
+        assert torn == 0
+        assert [(r.key, r.attempt) for r in records] == [
+            ("z", 0), ("a", 0), ("b", 0), ("c", 0), ("c", 1),
+        ]
+        assert not os.path.exists(path + ".tmp")
+
 
 class TestCompletion:
     def test_latest_ok_wins_and_failures_excluded(self):

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,8 +20,6 @@ from repro.atpg import EffortBudget
 from repro.harness import HarnessConfig, load_records, run_all, runner
 from repro.harness.ledger import WALL_TIME_FIELDS
 from repro.harness.runner import build_task_graph
-
-from tests.service.helpers import running_daemon
 
 PAIRS = ("dk16.ji.sd", "s820.jc.sr", "pma.jo.sd")
 
@@ -89,6 +88,16 @@ class TestEquivalence:
     def test_reports_byte_identical(self, reports):
         serial, parallel, _, _ = reports
         assert strip_wall_time(serial) == strip_wall_time(parallel)
+
+    def test_parallel_ledger_keeps_task_graph_order(self, reports):
+        """The pool's rows, appended as cells finish, are put back in
+        task-graph order: both ledgers list the same keys in the same
+        order."""
+        _, _, serial_dir, parallel_dir = reports
+        serial = [r.key for r in single_run_records(serial_dir)]
+        assert [r.key for r in single_run_records(parallel_dir)] == serial
+        graph = build_task_graph(lean_config(serial_dir))
+        assert serial == [task.key for task in graph]
 
     def test_every_cell_succeeded(self, reports):
         serial, parallel, _, _ = reports
@@ -161,31 +170,16 @@ def single_run_records(runs_dir):
     return records
 
 
-def run_in_mode(tmp_path, config, mode):
-    """Run ``config`` locally (``mode`` is the jobs level) or through an
-    in-thread daemon (``mode == "daemon"``); returns the report and
-    every attempt's row.  A daemon-routed run ledger keeps only each
-    cell's final row, so that mode's attempt rows come from the
-    daemon's own ledger."""
+def run_in_mode(tmp_path, config, jobs):
+    """Run ``config`` at the given jobs level; returns the report and
+    every attempt's row."""
     runs = tmp_path / "runs"
     config = dataclasses.replace(config, runs_dir=str(runs))
-    if mode != "daemon":
-        return run_all(config, jobs=mode), single_run_records(runs)
-    with running_daemon(tmp_path) as (_, instance):
-        report = run_all(config, service_socket=instance.socket_path)
-        records, _ = load_records(instance.ledger_file)
-    # The daemon writes the same attempt rows as a local pool.
-    _, local = run_in_mode(tmp_path / "local", config, 2)
-    assert attempt_rows(records) == attempt_rows(local)
-    return report, records
-
-
-def attempt_rows(records):
-    return [(r.attempt, r.outcome, r.error) for r in records]
+    return run_all(config, jobs=jobs), single_run_records(runs)
 
 
 class TestCrashRobustness:
-    @pytest.mark.parametrize("mode", [1, 2, "daemon"])
+    @pytest.mark.parametrize("mode", [1, 2])
     def test_poison_cell_is_quarantined(self, tmp_path, mode):
         config = struct_only_config(
             tmp_path,
@@ -201,7 +195,7 @@ class TestCrashRobustness:
         ]
         assert records[-1].error == "quarantined after 2 attempt(s): crashed"
 
-    @pytest.mark.parametrize("mode", [1, 2, "daemon"])
+    @pytest.mark.parametrize("mode", [1, 2])
     def test_retry_with_smaller_budget_recovers(self, tmp_path, mode):
         config = struct_only_config(
             tmp_path,
@@ -238,33 +232,54 @@ def hang_config(tmp_path, retries):
 
 
 class TestTimeout:
-    def check_killed_and_quarantined(self, tmp_path, mode):
+    def test_hung_worker_is_killed_and_quarantined(self, tmp_path):
         # Must not hang or raise.
-        report, records = run_in_mode(tmp_path, hang_config(tmp_path, 0), mode)
+        report, records = run_in_mode(tmp_path, hang_config(tmp_path, 0), 2)
         assert "dk16.ji.sd [aborted]" in report
         assert [r.outcome for r in records] == ["timeout", "quarantined"]
         assert "exceeded task timeout" in records[0].error
         assert records[1].error == "quarantined after 1 attempt(s): timeout"
 
-    def check_both_attempts_recorded(self, tmp_path, mode):
-        _, records = run_in_mode(tmp_path, hang_config(tmp_path, 1), mode)
+    def test_timeout_then_retry_records_both_attempts(self, tmp_path):
+        _, records = run_in_mode(tmp_path, hang_config(tmp_path, 1), 2)
         assert [(r.attempt, r.outcome) for r in records] == [
             (0, "timeout"),
             (1, "timeout"),
             (1, "quarantined"),
         ]
 
-    def test_hung_worker_is_killed_and_quarantined(self, tmp_path):
-        self.check_killed_and_quarantined(tmp_path, 2)
 
-    def test_daemon_kills_and_quarantines_hung_worker(self, tmp_path):
-        self.check_killed_and_quarantined(tmp_path, "daemon")
-
-    def test_timeout_then_retry_records_both_attempts(self, tmp_path):
-        self.check_both_attempts_recorded(tmp_path, 2)
-
-    def test_daemon_timeout_then_retry_records_both_attempts(self, tmp_path):
-        self.check_both_attempts_recorded(tmp_path, "daemon")
+class TestPoolStop:
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_stop_kills_running_worker_and_writes_no_row(
+        self, tmp_path, retries
+    ):
+        """Stopping the pool mid-attempt kills the cell's worker; the
+        attempt is neither retried nor quarantined and writes no row."""
+        config = struct_only_config(
+            tmp_path,
+            task_hook="tests.harness.hooks:hang_struct",
+            task_timeout_seconds=120.0,
+            max_task_retries=retries,
+        )
+        (task,) = build_task_graph(config)
+        pool = runner._Pool([task])
+        ledger_file = str(tmp_path / "ledger.jsonl")
+        with ThreadPoolExecutor(max_workers=1) as threads:
+            future = threads.submit(
+                runner.run_cell, task, config, str(tmp_path / "results"),
+                ledger_file, lambda line: None, pool,
+            )
+            deadline = time.monotonic() + 60.0
+            while not pool._processes or not pool._processes[0].is_alive():
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            pool.stop()
+            assert future.result(timeout=60) is None
+        (worker,) = pool._processes  # no second attempt started
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert not os.path.exists(ledger_file)
 
 
 class TestConcurrentAppends:
@@ -288,7 +303,7 @@ class TestConcurrentAppends:
                 futures = [
                     threads.submit(
                         runner.run_cell, task, config, str(tmp_path),
-                        ledger_file, lambda line: None, spawn=False,
+                        ledger_file, lambda line: None,
                     )
                     for task in tasks
                 ]

@@ -1,6 +1,6 @@
 """Cache-first harness runs: warm runs must be byte-identical science.
 
-The acceptance bar for the service layer: a warm-cache run computes
+The acceptance bar for the result cache: a warm-cache run computes
 zero cells, replays the cold run's ledger rows verbatim, and renders
 the identical report text (modulo the wall-clock footer, which is the
 report analogue of WALL_TIME_FIELDS).  Cache counters live outside the
@@ -156,42 +156,6 @@ class TestColdWarm:
         )
         assert summary["cache_hits"] == 0
         assert summary["cache_misses"] == 1
-
-
-class TestDaemonRouted:
-    def test_daemon_run_matches_local_run(self, tmp_path):
-        """A run whose cache misses go to a daemon writes the same
-        science and ledger rows as a local jobs=1 run, and a warm rerun
-        against the daemon's store computes nothing."""
-        import dataclasses
-
-        from tests.harness.test_runner import (
-            ledger_rows_modulo_wall_time,
-            struct_only_config,
-        )
-        from tests.service.helpers import running_daemon
-
-        local_report = run_all(
-            struct_only_config(tmp_path / "local"), jobs=1
-        )
-        with running_daemon(tmp_path) as (_, instance):
-            config = dataclasses.replace(
-                struct_only_config(tmp_path / "cold"),
-                store_dir=instance.store.root,
-                service_socket=instance.socket_path,
-            )
-            cold_report = run_all(config)
-            warm_report = run_all(
-                dataclasses.replace(config, runs_dir=str(tmp_path / "warm"))
-            )
-        assert science_text(cold_report) == science_text(local_report)
-        assert ledger_rows_modulo_wall_time(
-            tmp_path / "cold"
-        ) == ledger_rows_modulo_wall_time(tmp_path / "local")
-        assert science_text(warm_report) == science_text(local_report)
-        (run_id,) = os.listdir(tmp_path / "warm")
-        warm = service_summary(os.path.join(tmp_path / "warm", run_id))
-        assert (warm["cache_hits"], warm["cache_misses"]) == (1, 0)
 
 
 class TestStoredV5Rows:

@@ -42,7 +42,6 @@ class TestConfigFingerprint:
         varied = lean_cfg(
             runs_dir="/somewhere/else",
             store_dir="/a/store",
-            service_socket="/a/socket",
         )
         assert varied.fingerprint() == base.fingerprint()
 

@@ -6,7 +6,7 @@ import sys
 
 from repro import __main__ as dispatcher
 
-COMMANDS = ("run", "lint", "perf", "report", "fault-analysis", "service")
+COMMANDS = ("run", "lint", "perf", "report", "fault-analysis")
 
 
 def run_module(module, *args):
@@ -36,11 +36,6 @@ class TestDispatcher:
         assert "lint" in result.stdout
         # The new spelling carries no deprecation chatter.
         assert "deprecated" not in result.stderr
-
-    def test_service_command_reachable(self):
-        result = run_module("repro", "service", "--help")
-        assert result.returncode == 0
-        assert "serve" in result.stdout
 
     def test_unknown_command_fails_cleanly(self):
         result = run_module("repro", "frobnicate")
