@@ -25,6 +25,31 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+# ``randrange(2)`` is ``getrandbits(2)`` retried while it reads 2 or 3,
+# and ``getrandbits(2)`` keeps the top two bits of one 32-bit output
+# word.  So a word is accepted when its bit 31 is 0, and then yields its
+# bit 30; in a word's top byte that is "below 128", giving ``byte >> 6``.
+_TOP_BYTE_BIT = bytes(byte >> 6 for byte in range(256))
+_TOP_BYTE_REJECTED = bytes(range(128, 256))
+
+
+def random_bits(rng: random.Random, count: int) -> bytes:
+    """``count`` draws of ``rng.randrange(2)`` (one byte, 0 or 1, each),
+    made in bulk.
+
+    Exactly the same stream, and ``rng`` is left in the same state: each
+    round draws one 32-bit word per bit still missing — never more
+    words than the per-bit draws would consume — keeps the accepted
+    words' bits in order, and draws again for the rejected ones.
+    """
+    bits = b""
+    while len(bits) < count:
+        missing = count - len(bits)
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        bits += words[3::4].translate(_TOP_BYTE_BIT, _TOP_BYTE_REJECTED)
+    return bits
+
+
 def bits_needed(count: int) -> int:
     """Minimum number of bits needed to give `count` items distinct codes.
 

@@ -38,7 +38,7 @@ from ..fault.simulator import FaultSimulator
 from ..obs import Observability
 from ..obs.coverage import ABORT_STALL, ABORT_TIME_BUDGET, PROV_BREEDING
 from ..obs.search import SearchObserver, StateClassifier
-from .._util import make_rng
+from .._util import make_rng, random_bits
 from .result import (
     AtpgResult,
     Checkpoint,
@@ -225,9 +225,11 @@ class SimBasedEngine:
         return batch
 
     def _random_sequence(self) -> List[List[int]]:
+        width = self._num_pis
+        bits = random_bits(self._rng, width * self.options.sequence_length)
         return [
-            [self._rng.randrange(2) for _ in range(self._num_pis)]
-            for _ in range(self.options.sequence_length)
+            list(bits[step * width : (step + 1) * width])
+            for step in range(self.options.sequence_length)
         ]
 
     def _mutate(self, sequence: List[List[int]]) -> List[List[int]]:

@@ -1,8 +1,13 @@
 """Reduced ordered binary decision diagrams.
 
 A small, dependency-free BDD package sized for this study: the circuits
-have at most a few dozen state/input variables and a few hundred gates,
-so a classic unique-table + ITE-memo implementation is ample.
+have at most about a hundred state/input variables and a few hundred
+gates, so a classic unique table with memoized operations is ample.
+AND, OR and NOT, which carry the image computations, run their own
+apply recursions with their own caches (AND and OR keyed on the
+unordered operand pair, NOT memoized both ways); every other connective
+goes through the general ITE.  ROBDDs are canonical, so either route
+returns the same node for the same function.
 
 The package exists for one load-bearing job — **reachable-state
 (valid-state) analysis** behind the paper's *density of encoding* metric
@@ -48,6 +53,9 @@ class BddManager:
         self._high: List[int] = [0, 1]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        self._and_cache: Dict[Tuple[int, int], int] = {}
+        self._or_cache: Dict[Tuple[int, int], int] = {}
+        self._not_cache: Dict[int, int] = {}
 
     # -- variables --------------------------------------------------------
 
@@ -114,6 +122,13 @@ class BddManager:
         self._ite_cache[key] = result
         return result
 
+    def clear_caches(self) -> None:
+        """Drop the operation caches; every node stays valid."""
+        self._ite_cache.clear()
+        self._and_cache.clear()
+        self._or_cache.clear()
+        self._not_cache.clear()
+
     def _cofactors(self, f: int, level: int) -> Tuple[int, int]:
         if self._level[f] == level:
             return self._low[f], self._high[f]
@@ -122,13 +137,56 @@ class BddManager:
     # -- boolean connectives ----------------------------------------------------
 
     def not_(self, f: int) -> int:
-        return self.ite(f, self.FALSE, self.TRUE)
+        """``NOT f``; memoized both ways, since negation is involutive."""
+        if f <= self.TRUE:
+            return self.TRUE - f
+        cached = self._not_cache.get(f)
+        if cached is None:
+            cached = self._mk(
+                self._level[f], self.not_(self._low[f]), self.not_(self._high[f])
+            )
+            self._not_cache[f] = cached
+            self._not_cache[cached] = f
+        return cached
 
     def and_(self, f: int, g: int) -> int:
-        return self.ite(f, g, self.FALSE)
+        if f == self.FALSE or g == self.FALSE:
+            return self.FALSE
+        if f == self.TRUE or f == g:
+            return g
+        if g == self.TRUE:
+            return f
+        key = (f, g) if f < g else (g, f)
+        cached = self._and_cache.get(key)
+        if cached is None:
+            top, f0, f1, g0, g1 = self._split(f, g)
+            cached = self._mk(top, self.and_(f0, g0), self.and_(f1, g1))
+            self._and_cache[key] = cached
+        return cached
 
     def or_(self, f: int, g: int) -> int:
-        return self.ite(f, self.TRUE, g)
+        if f == self.TRUE or g == self.TRUE:
+            return self.TRUE
+        if f == self.FALSE or f == g:
+            return g
+        if g == self.FALSE:
+            return f
+        key = (f, g) if f < g else (g, f)
+        cached = self._or_cache.get(key)
+        if cached is None:
+            top, f0, f1, g0, g1 = self._split(f, g)
+            cached = self._mk(top, self.or_(f0, g0), self.or_(f1, g1))
+            self._or_cache[key] = cached
+        return cached
+
+    def _split(self, f: int, g: int) -> Tuple[int, int, int, int, int]:
+        """The top level of two non-terminals and both cofactor pairs."""
+        level_f, level_g = self._level[f], self._level[g]
+        if level_f == level_g:
+            return level_f, self._low[f], self._high[f], self._low[g], self._high[g]
+        if level_f < level_g:
+            return level_f, self._low[f], self._high[f], g, g
+        return level_g, f, f, self._low[g], self._high[g]
 
     def xor(self, f: int, g: int) -> int:
         return self.ite(f, self.not_(g), g)

@@ -48,18 +48,7 @@ class CircuitBdds:
                 "and DFF outputs"
             )
         self.manager = BddManager(order)
-        self.node_fn: Dict[str, int] = {}
-        self._build()
-
-    def _build(self) -> None:
-        m = self.manager
-        for name in topological_order(self.circuit):
-            node = self.circuit.node(name)
-            if node.kind in (NodeKind.INPUT, NodeKind.DFF):
-                self.node_fn[name] = m.var(name)
-                continue
-            fanin_fns = [self.node_fn[f] for f in node.fanin]
-            self.node_fn[name] = _apply_gate(m, node.gate, fanin_fns)
+        self.node_fn: Dict[str, int] = node_functions(circuit, self.manager)
 
     # -- convenient views -------------------------------------------------------
 
@@ -125,7 +114,7 @@ def combinationally_equivalent(left: Circuit, right: Circuit) -> bool:
     # The two managers are distinct but share the variable order, so node
     # ids are comparable only through re-evaluation; rebuild right on
     # left's manager by structural construction instead.
-    right_on_left = _rebuild_on(right, left_bdds.manager)
+    right_on_left = node_functions(right, left_bdds.manager)
     for left_po, right_po in zip(left.outputs, right.outputs):
         if left_bdds.node_fn[left_po] != right_on_left[right_po]:
             return False
@@ -137,7 +126,9 @@ def combinationally_equivalent(left: Circuit, right: Circuit) -> bool:
     return True
 
 
-def _rebuild_on(circuit: Circuit, manager: BddManager) -> Dict[str, int]:
+def node_functions(circuit: Circuit, manager: BddManager) -> Dict[str, int]:
+    """Every node's function in ``manager``, which declares at least the
+    circuit's primary inputs and DFF outputs (and may be shared)."""
     functions: Dict[str, int] = {}
     for name in topological_order(circuit):
         node = circuit.node(name)

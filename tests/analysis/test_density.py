@@ -13,9 +13,12 @@ from repro.analysis import (
     reachability_report,
     reachable_states,
 )
+from repro.analysis.density import merge_wave
 from repro.circuit import ONE
 from repro.errors import AnalysisError
+from repro.logic.bdd import BddManager
 from repro.logic.bddcircuit import CircuitBdds
+from repro.retime.core import backward_retime, backward_retiming_sweep
 from repro.sim.compile import clear_program_cache
 from tests.helpers import random_circuit
 
@@ -57,8 +60,6 @@ class TestBenchmarks:
         )
 
     def test_retiming_collapses_density(self, dk16_rugged):
-        from repro.retime.core import backward_retime
-
         retimed = backward_retime(dk16_rugged.circuit, 2).circuit
         original_density = density_of_encoding(dk16_rugged.circuit)
         retimed_density = density_of_encoding(retimed)
@@ -67,8 +68,6 @@ class TestBenchmarks:
     def test_retimed_valid_states_grow_slower_than_space(
         self, dk16_rugged
     ):
-        from repro.retime.core import backward_retime
-
         retimed = backward_retime(dk16_rugged.circuit, 2).circuit
         original = reachability_report(dk16_rugged.circuit)
         after = reachability_report(retimed)
@@ -101,9 +100,11 @@ class TestGuards:
             explicit_valid_states(builder.build())
 
 
-def uncompacted_fixpoint(circuit):
-    """The reachable set left in the circuit's full BDD manager, as
-    ``ReachableStates`` computed it before compaction."""
+def direct_fixpoint(circuit):
+    """The frontier fixpoint over the circuit's own registers, left in
+    its full BDD manager, as ``ReachableStates`` computed it before
+    compaction and lifting: the manager, the state variables, the set
+    and the image count."""
     bdds = CircuitBdds(circuit)
     m = bdds.manager
     state_vars = bdds.state_variables()
@@ -112,11 +113,30 @@ def uncompacted_fixpoint(circuit):
         {name: int(circuit.node(name).init == ONE) for name in state_vars}
     )
     frontier = reached
+    iterations = 0
     while frontier != m.FALSE:
+        iterations += 1
         new = m.and_(m.range_of(functions, state_vars, frontier), m.not_(reached))
         reached = m.or_(reached, new)
         frontier = new
-    return m, state_vars, reached
+    return m, state_vars, reached, iterations
+
+
+def assert_same_as_direct_fixpoint(circuit, lifted):
+    """Same compact BDD node for node, same count, same image count."""
+    m, state_vars, reached, iterations = direct_fixpoint(circuit)
+    compact = BddManager(state_vars)
+    root = m.transfer(reached, compact)
+    ours = lifted._manager
+    assert (ours._level, ours._low, ours._high) == (
+        compact._level,
+        compact._low,
+        compact._high,
+    ), circuit.name
+    assert lifted._reachable == root
+    report = lifted.report()
+    assert report.num_valid_states == compact.satcount(root, state_vars)
+    assert report.iterations == iterations, circuit.name
 
 
 def all_cubes(num_dffs):
@@ -130,7 +150,7 @@ class TestCompaction:
     def test_verdicts_match_full_manager_and_oracle(self, seed):
         circuit = random_circuit(seed, num_inputs=3, num_gates=12, num_dffs=4)
         compact = ReachableStates(circuit)
-        m, state_vars, reached = uncompacted_fixpoint(circuit)
+        m, state_vars, reached, _ = direct_fixpoint(circuit)
         explicit = explicit_valid_states(circuit)
         assert compact.count() == m.satcount(reached, state_vars) == len(explicit)
         for state in itertools.product((0, 1), repeat=4):
@@ -211,3 +231,59 @@ class TestOneFixpointPerCircuit:
         clear_program_cache()
         third = run_both_engines()
         assert third[0] is second[0]
+
+
+def has_chained_wave(circuit):
+    """Some register's D input is itself a wave gate: its lifted
+    next-state function is the core register that gate drives."""
+    wave = merge_wave(circuit)
+    return wave is not None and any(
+        dff.fanin[0] in wave[1] for dff in circuit.dffs()
+    )
+
+
+class TestLiftedReachability:
+    """A retimed circuit's set, lifted from its register-merged core,
+    against the frontier fixpoint over its own registers."""
+
+    def test_table3_pairs_and_table7_rungs(self):
+        """Originals have no wave and run the fixpoint directly; every
+        retimed side merges into a smaller core and is lifted."""
+        from repro.harness.suite import (
+            TABLE3_CIRCUITS,
+            TABLE7_CIRCUIT,
+            build_pair,
+            synthesize_named,
+        )
+
+        circuits = []
+        for name in TABLE3_CIRCUITS:
+            pair = build_pair(name)
+            assert merge_wave(pair.original_circuit) is None
+            core, _ = merge_wave(pair.retimed_circuit)
+            assert core.num_dffs() < pair.retimed_circuit.num_dffs()
+            circuits += [pair.original_circuit, pair.retimed_circuit]
+        original = synthesize_named(TABLE7_CIRCUIT).circuit
+        circuits += [
+            rung.circuit for rung in backward_retiming_sweep(original, (1, 2))
+        ]
+        assert len(circuits) == 12
+        for circuit in circuits:
+            assert_same_as_direct_fixpoint(circuit, ReachableStates(circuit))
+
+    def test_random_retimings(self):
+        """400 random circuits retimed 1-3 waves deep.  Registers that
+        read a wave gate (chained waves) occur, and there the lifted set
+        is also checked state by state against explicit traversal."""
+        chained = 0
+        for seed in range(400):
+            circuit = random_circuit(seed)
+            for depth in (1, 2, 3):
+                retimed = backward_retime(circuit, depth).circuit
+                lifted = ReachableStates(retimed)
+                assert_same_as_direct_fixpoint(retimed, lifted)
+                if has_chained_wave(retimed):
+                    chained += 1
+                    explicit = explicit_valid_states(retimed)
+                    assert set(lifted.enumerate()) == explicit
+        assert chained >= 19

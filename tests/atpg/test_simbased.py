@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro._util import make_rng, random_bits
 from repro.atpg import EffortBudget, SimBasedEngine, SimBasedOptions
 from repro.fault import FaultSimulator
 
@@ -52,3 +53,29 @@ class TestSimBased:
         ).run()
         assert result.cpu_seconds < 30.0
         assert result.fault_coverage > 80.0
+
+
+class TestRandomSequences:
+    @pytest.mark.parametrize("length", [1, 7, 21, 40, 840])
+    def test_bulk_draw_is_the_randrange_stream(self, length):
+        """The bulk draw returns what per-bit ``randrange(2)`` returns
+        and leaves the generator where per-bit draws leave it."""
+        for seed in range(200):
+            per_bit, bulk = make_rng(seed), make_rng(seed)
+            expected = [per_bit.randrange(2) for _ in range(length)]
+            assert list(random_bits(bulk, length)) == expected
+            assert bulk.getstate() == per_bit.getstate()
+
+    def test_sequences_match_per_bit_draws(self, dk16_rugged):
+        options = SimBasedOptions(sequence_length=21)
+        engine = SimBasedEngine(dk16_rugged.circuit, options=options)
+        reference = make_rng(23)
+        width = len(dk16_rugged.circuit.inputs)
+        engine._rng = make_rng(23)
+        for _ in range(3):
+            expected = [
+                [reference.randrange(2) for _ in range(width)]
+                for _ in range(21)
+            ]
+            assert engine._random_sequence() == expected
+        assert engine._rng.getstate() == reference.getstate()

@@ -190,3 +190,49 @@ class TestRange:
             for s in manager.iter_satisfying(image, variables)
         }
         assert found == expected
+
+
+def from_truth_table(manager, bits, variables):
+    """The function whose truth table is ``bits`` (minterm i is bit i,
+    variable j is bit j of i), built with ITE alone."""
+    f = manager.FALSE
+    for minterm in range(1 << len(variables)):
+        if not (bits >> minterm) & 1:
+            continue
+        term = manager.TRUE
+        for position, name in reversed(list(enumerate(variables))):
+            literal = manager.var(name)
+            if (minterm >> position) & 1:
+                term = manager.ite(literal, term, manager.FALSE)
+            else:
+                term = manager.ite(literal, manager.FALSE, term)
+        f = manager.ite(f, manager.TRUE, term)
+    return f
+
+
+class TestApply:
+    """AND, OR and NOT run their own apply recursions; ROBDDs are
+    canonical, so each must return the very node ITE returns."""
+
+    @given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+    @settings(max_examples=100, deadline=None)
+    def test_same_nodes_as_ite(self, f_bits, g_bits):
+        variables = ["a", "b", "c", "d"]
+        manager = BddManager(variables)
+        f = from_truth_table(manager, f_bits, variables)
+        g = from_truth_table(manager, g_bits, variables)
+        t, z = manager.TRUE, manager.FALSE
+        for left, right in ((f, g), (g, f), (f, f), (f, t), (z, g)):
+            assert manager.and_(left, right) == manager.ite(left, right, z)
+            assert manager.or_(left, right) == manager.ite(left, t, right)
+        assert manager.not_(f) == manager.ite(f, z, t)
+        assert manager.not_(manager.not_(f)) == f
+        assert manager.and_(f, g) == from_truth_table(
+            manager, f_bits & g_bits, variables
+        )
+        assert manager.or_(f, g) == from_truth_table(
+            manager, f_bits | g_bits, variables
+        )
+        assert manager.not_(g) == from_truth_table(
+            manager, ~g_bits & 0xFFFF, variables
+        )
