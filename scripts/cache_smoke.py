@@ -4,8 +4,8 @@
 Drives the same preset twice against one content-addressed result
 store and fails unless the second run is a pure cache replay:
 
-* warm ``service.cache_hits`` == the task-graph cell count and
-  ``service.cache_misses`` == 0 — the warm run computed nothing;
+* warm ``cache_hits`` == the task-graph cell count and
+  ``cache_misses`` == 0 — the warm run computed nothing;
 * the warm ledger is byte-identical to the cold one (rows replay
   verbatim, wall-time fields included);
 * the rendered reports agree on ``science_text`` (everything except

@@ -7,9 +7,6 @@ Usage::
     python scripts/trace_summary.py --runs-dir runs           # latest run
     python scripts/trace_summary.py --runs-dir runs --top 25
 
-Also prints the merged metrics table when the run's ledger is next to
-the trace file.
-
 Exit codes::
 
     0  summary printed
@@ -29,16 +26,8 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
 )
 
-from repro.harness.ledger import (
-    LEDGER_NAME,
-    load_records,
-    render_merged_metrics,
-)
 from repro.obs import TRACE_NAME, read_trace_jsonl, render_rollup
 from repro.obs.cli import CliError, find_run_file, run_main
-
-# Kept as an alias: TraceError predates the shared CLI helper.
-TraceError = CliError
 
 
 def find_trace(runs_dir: str) -> str:
@@ -63,8 +52,7 @@ def load_spans(trace_file: str) -> list:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         description="Summarize a profiled harness run's trace.jsonl: "
-        "top-N hottest span paths (flame-style rollup), plus the merged "
-        "metrics table when the run ledger sits next to the trace.",
+        "top-N hottest span paths (flame-style rollup).",
         epilog="examples:\n"
         "  python scripts/trace_summary.py runs/<run-id>/trace.jsonl\n"
         "  python scripts/trace_summary.py --runs-dir runs      "
@@ -114,14 +102,6 @@ def main(argv=None) -> int:
             title=f"Top {args.top} hottest span paths ({trace_file})",
         )
     )
-
-    ledger_file = os.path.join(os.path.dirname(trace_file), LEDGER_NAME)
-    if os.path.isfile(ledger_file):
-        records, _ = load_records(ledger_file)
-        metrics = render_merged_metrics(records)
-        if metrics:
-            print()
-            print(metrics)
     return 0
 
 

@@ -41,19 +41,14 @@ from .registry import ENGINES, EngineSpec, engine_names, get_engine
 class AtpgEngine(Protocol):
     """What every test-generation engine in this tree looks like.
 
-    ``name`` identifies the engine family (a registry key), ``run``
-    produces the paper-accounting result, and ``metrics`` exposes the
-    engine's :class:`~repro.obs.MetricsRegistry` so callers can read
-    effort counters without knowing the engine's internals.
+    ``name`` identifies the engine family (a registry key) and ``run``
+    produces the paper-accounting result, whose ``counters()`` carry
+    the run's effort and outcome counts.
     """
 
     name: str
 
     def run(self, faults: Optional[Sequence[Fault]] = None) -> AtpgResult:
-        ...
-
-    @property
-    def metrics(self):
         ...
 from .compaction import (
     CompactionReport,

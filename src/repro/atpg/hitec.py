@@ -321,15 +321,9 @@ class HitecEngine:
         if learning:
             self.name = "sest"
         self.obs = obs if obs is not None else Observability()
-        labels = {"engine": self.name, "circuit": circuit.name}
-        registry = self.obs.metrics
-        self.learning_cache = (
-            IllegalStateCache(metrics=registry, **labels) if learning else None
-        )
+        self.learning_cache = IllegalStateCache() if learning else None
         self._rng = make_rng(rng_seed)
-        self._simulator = FaultSimulator(
-            circuit, metrics=registry, backend=sim_backend
-        )
+        self._simulator = FaultSimulator(circuit, backend=sim_backend)
         self._good_sim = TernarySimulator(circuit)
         self._num_pis = len(circuit.inputs)
         # One valid/invalid oracle per engine instance over the
@@ -337,11 +331,6 @@ class HitecEngine:
         # is memoized across faults and across runs (the per-run
         # observer only owns the tallies).
         self._classifier = StateClassifier(circuit)
-
-    @property
-    def metrics(self):
-        """The engine's :class:`~repro.obs.MetricsRegistry` handle."""
-        return self.obs.metrics
 
     # -- public API --------------------------------------------------------
 
@@ -368,8 +357,7 @@ class HitecEngine:
     ) -> AtpgResult:
         test_set = TestSet()
         states_seen: Set[State] = set()
-        labels = {"engine": self.name, "circuit": self.circuit.name}
-        observer = SearchObserver(self._classifier, self.obs.metrics, **labels)
+        observer = SearchObserver(self._classifier)
         justifier = Justifier(
             self.circuit,
             self.budget,
@@ -379,16 +367,8 @@ class HitecEngine:
             trace=trace,
         )
         total_watch = Stopwatch(self.budget.total_seconds, clock=clock)
-        book = FaultBook(
-            faults,
-            total_watch,
-            self._simulator.events_counter,
-            observer,
-            self.obs.metrics,
-            searches=True,
-            **labels,
-        )
-        sim_events_start = self._simulator.events_counter.value
+        book = FaultBook(faults, total_watch, self._simulator, observer)
+        sim_events_start = self._simulator.events
 
         # Phase 0: random test generation.  Detects the easy faults at
         # fault-simulation cost and seeds the justifier's known-state
@@ -442,8 +422,7 @@ class HitecEngine:
             checkpoints=checkpoints,
             states_traversed=states_seen,
             states_examined=justifier.states_examined,
-            sim_events=self._simulator.events_counter.value
-            - sim_events_start,
+            sim_events=self._simulator.events - sim_events_start,
             search_counters=observer.counters(),
             fault_records=book.records(),
         )

@@ -17,9 +17,8 @@ it, the HITEC engine does not, and a dedicated benchmark flips it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
-
-from ..obs import Counter, MetricsRegistry
+import dataclasses
+from typing import Dict, List, Set, Tuple
 
 StateCube = Tuple[Tuple[int, int], ...]  # sorted ((position, value), ...)
 
@@ -38,52 +37,13 @@ def cube_implies(specific: Dict[int, int], general: StateCube) -> bool:
     return True
 
 
+@dataclasses.dataclass
 class LearningStats:
-    """Cache effectiveness counters (surfaced in the ablation bench).
+    """Cache effectiveness counters (surfaced in the ablation bench)."""
 
-    A read-only view over the cache's ``atpg.learn.*`` obs counters:
-    whoever holds the :class:`~repro.obs.MetricsRegistry` sees the same
-    numbers this object reports.
-    """
-
-    __slots__ = ("_learned", "_hits", "_misses")
-
-    def __init__(
-        self,
-        learned: Optional[Counter] = None,
-        hits: Optional[Counter] = None,
-        misses: Optional[Counter] = None,
-    ):
-        self._learned = learned if learned is not None else Counter()
-        self._hits = hits if hits is not None else Counter()
-        self._misses = misses if misses is not None else Counter()
-
-    @property
-    def cubes_learned(self) -> int:
-        return self._learned.value
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    def note_learned(self) -> None:
-        self._learned.inc()
-
-    def note_hit(self) -> None:
-        self._hits.inc()
-
-    def note_miss(self) -> None:
-        self._misses.inc()
-
-    def __repr__(self) -> str:  # keeps the old dataclass ergonomics
-        return (
-            f"LearningStats(cubes_learned={self.cubes_learned}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+    cubes_learned: int = 0
+    hits: int = 0
+    misses: int = 0
 
 
 class IllegalStateCache:
@@ -94,21 +54,11 @@ class IllegalStateCache:
     implementations used the same strategy.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 5000,
-        metrics: Optional[MetricsRegistry] = None,
-        **labels: object,
-    ):
+    def __init__(self, max_entries: int = 5000):
         self._cubes: List[StateCube] = []
         self._seen: Set[StateCube] = set()
         self._max_entries = max_entries
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self.stats = LearningStats(
-            learned=registry.counter("atpg.learn.cubes_learned", **labels),
-            hits=registry.counter("atpg.learn.hits", **labels),
-            misses=registry.counter("atpg.learn.misses", **labels),
-        )
+        self.stats = LearningStats()
 
     def __len__(self) -> int:
         return len(self._cubes)
@@ -123,13 +73,13 @@ class IllegalStateCache:
             return
         self._seen.add(key)
         self._cubes.append(key)
-        self.stats.note_learned()
+        self.stats.cubes_learned += 1
 
     def is_illegal(self, cube: Dict[int, int]) -> bool:
         """True when a learned cube already covers this one."""
         for learned in self._cubes:
             if cube_implies(cube, learned):
-                self.stats.note_hit()
+                self.stats.hits += 1
                 return True
-        self.stats.note_miss()
+        self.stats.misses += 1
         return False

@@ -25,10 +25,10 @@ from collections import Counter as Tally
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..fault.model import CoverageSummary, Fault, FaultStatus, summarize
-from ..obs import MetricsRegistry, annotate
-from ..obs.coverage import ABORT_REASONS, PROV_TARGETED
+from ..obs import annotate
+from ..obs.coverage import PROV_TARGETED
 from ..obs.coverage.report import lifecycle_counter_block
-from ..obs.search import FAULT_DWELL_BUCKETS, SearchObserver
+from ..obs.search import SearchObserver
 
 
 @dataclasses.dataclass
@@ -196,7 +196,7 @@ class AtpgResult:
         """Flat JSON-able effort/outcome counters for the run ledger.
 
         Keys follow the obs dotted naming convention (see DESIGN.md
-        "Metric naming"); ledger rows store them verbatim.  The
+        "Counter naming"); ledger rows store them verbatim.  The
         ``atpg.faults_*`` outcomes count the engine's own records, so
         they keep their target-list meaning after an expansion widens
         ``statuses`` to the full fault universe.
@@ -313,61 +313,31 @@ class FaultBook:
     ``cpu_seconds``   run-clock seconds when the record closed
     ================  ==================================================
 
-    Statuses, checkpoints, the engine's outcome and effort metrics and
+    Statuses, checkpoints, the engine's outcome and effort counters and
     the ``lifecycle.*`` counters are all read from these records.
-    ``watch`` stamps every record, ``sim_events`` is the fault
-    simulator's event counter and ``search`` the run's search-state
-    observer (the scopes mark both).  The
-    book registers the metric keys of the engine family it serves:
-    ``searches=False`` (simulation-based engines) leaves out redundancy
-    and search effort.  Record order is resolution order, and every
-    timestamp comes from the run's watch, so records are a pure
-    function of the search trajectory under a WorkClock.
+    ``watch`` stamps every record, ``simulator`` is the fault simulator
+    whose ``events`` the scopes mark, and ``search`` the run's
+    search-state observer, whose tally the scopes mark.  Record order
+    is resolution order, and every timestamp comes from the run's
+    watch, so records are a pure function of the search trajectory
+    under a WorkClock.
     """
 
     def __init__(
         self,
         faults: Sequence[Fault],
         watch: Stopwatch,
-        sim_events,
+        simulator,
         search: SearchObserver,
-        metrics: MetricsRegistry,
-        *,
-        searches: bool,
-        **labels: object,
     ):
         self._faults = list(dict.fromkeys(faults))
         self._watch = watch
-        self._sim_events = sim_events
+        self._simulator = simulator
         self._search = search
         self._records: List[Dict[str, Any]] = []
         self._record_of: Dict[Fault, Dict[str, Any]] = {}
         self._outcomes: Tally = Tally()
         self._pending: Optional[Fault] = None
-        outcomes = ("detected", "redundant", "aborted")
-        self._ctr_outcome = {
-            outcome: metrics.counter("atpg.faults_" + outcome, **labels)
-            for outcome in outcomes
-            if searches or outcome != "redundant"
-        }
-        self._ctr_lifecycle = {
-            key: metrics.counter("lifecycle." + key, **labels)
-            for key in ("detected_targeted", "detected_incidental")
-        }
-        for reason in ABORT_REASONS:
-            self._ctr_lifecycle[reason] = metrics.counter(
-                "lifecycle.aborted_" + reason.replace("-", "_"), **labels
-            )
-        self._hist_dwell = metrics.histogram(
-            "search.fault_invalid_events", bounds=FAULT_DWELL_BUCKETS, **labels
-        )
-        self._effort = None
-        if searches:
-            self._effort = (
-                metrics.counter("atpg.backtracks", **labels),
-                metrics.counter("atpg.frames_expanded", **labels),
-                metrics.histogram("atpg.fault_backtracks", **labels),
-            )
 
     # -- queries ------------------------------------------------------------
 
@@ -433,7 +403,6 @@ class FaultBook:
         with trace.span("atpg.fault", fault=str(fault)) as span:
             yield scope
             valid, invalid = scope.dwell()
-            self._hist_dwell.observe(invalid)
             annotate(span, search_valid=valid, search_invalid=invalid)
 
     def _close(
@@ -463,14 +432,6 @@ class FaultBook:
         self._records.append(record)
         self._record_of[fault] = record
         self._outcomes[outcome] += 1
-        self._ctr_outcome[outcome].inc()
-        if outcome == "detected":
-            targeted = provenance == PROV_TARGETED
-            self._ctr_lifecycle[
-                "detected_targeted" if targeted else "detected_incidental"
-            ].inc()
-        elif outcome == "aborted" and abort_reason in self._ctr_lifecycle:
-            self._ctr_lifecycle[abort_reason].inc()
 
 
 class FaultScope:
@@ -481,7 +442,7 @@ class FaultScope:
         book._pending = fault
         self._book = book
         self.fault = fault
-        self._sim_mark = book._sim_events.value
+        self._sim_mark = book._simulator.events
         tally = book._search.tally
         self._dwell_marks = (tally.valid_events, tally.invalid_events)
 
@@ -514,10 +475,5 @@ class FaultScope:
             detected_by=detected_by if outcome == "detected" else None,
             backtracks=backtracks,
             frames=frames,
-            sim_events=max(0, book._sim_events.value - self._sim_mark),
+            sim_events=max(0, book._simulator.events - self._sim_mark),
         )
-        if book._effort is not None:
-            ctr_backtracks, ctr_frames, hist_backtracks = book._effort
-            ctr_backtracks.inc(backtracks)
-            ctr_frames.inc(frames)
-            hist_backtracks.observe(backtracks)

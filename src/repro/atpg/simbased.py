@@ -85,12 +85,9 @@ class SimBasedEngine:
         self.budget = budget or EffortBudget.paper()
         self.options = options or SimBasedOptions()
         self.obs = obs if obs is not None else Observability()
-        labels = {"engine": self.name, "circuit": circuit.name}
-        registry = self.obs.metrics
-        self._ctr_rounds = registry.counter("atpg.rounds", **labels)
         self._rng = make_rng(rng_seed)
         self._simulator = FaultSimulator(
-            circuit, metrics=registry, backend=self.options.sim_backend
+            circuit, backend=self.options.sim_backend
         )
         self._num_pis = len(circuit.inputs)
         # Valid/invalid oracle over the circuit's shared reachable set
@@ -99,11 +96,6 @@ class SimBasedEngine:
         # construction, so its waste fraction is ~0 — the observatory's
         # control group against the structural engines.
         self._classifier = StateClassifier(circuit)
-
-    @property
-    def metrics(self):
-        """The engine's :class:`~repro.obs.MetricsRegistry` handle."""
-        return self.obs.metrics
 
     def run(self, faults: Optional[Sequence[Fault]] = None) -> AtpgResult:
         if faults is None:
@@ -128,20 +120,11 @@ class SimBasedEngine:
         test_set = TestSet()
         checkpoints: List[Checkpoint] = []
         states_seen: Set[Tuple[int, ...]] = set()
-        labels = {"engine": self.name, "circuit": self.circuit.name}
-        observer = SearchObserver(self._classifier, self.obs.metrics, **labels)
+        observer = SearchObserver(self._classifier)
         watch = Stopwatch(self.budget.total_seconds, clock=clock)
-        book = FaultBook(
-            faults,
-            watch,
-            self._simulator.events_counter,
-            observer,
-            self.obs.metrics,
-            searches=False,
-            **labels,
-        )
+        book = FaultBook(faults, watch, self._simulator, observer)
         open_faults = book.open_faults()
-        sim_events_start = self._simulator.events_counter.value
+        sim_events_start = self._simulator.events
         elite: List[List[List[int]]] = []
         stall = 0
         rounds = 0
@@ -152,7 +135,6 @@ class SimBasedEngine:
             and not watch.expired()
         ):
             rounds += 1
-            self._ctr_rounds.inc()
             with trace.span("atpg.round", index=rounds):
                 batch = self._next_batch(elite)
                 # One lane pass for the whole batch against the round's
@@ -205,8 +187,7 @@ class SimBasedEngine:
             checkpoints=checkpoints,
             states_traversed=states_seen,
             states_examined=set(states_seen),
-            sim_events=self._simulator.events_counter.value
-            - sim_events_start,
+            sim_events=self._simulator.events - sim_events_start,
             search_counters=observer.counters(),
             fault_records=book.records(),
         )

@@ -176,8 +176,6 @@ def analyze_faults(
             dominated=dominated,
             checkpoints=checkpoint_nodes(circuit),
         )
-    for key, value in analysis.counters().items():
-        obs.metrics.counter(key, circuit=circuit.name).inc(value)
     return analysis
 
 
@@ -198,11 +196,10 @@ def analyze_faults_cached(
 
     Every harness consumer (ATPG tables, Figure 3, expansion) shares
     one analysis per circuit per level.  A cache hit re-emits the same
-    ``collapse.analyze`` span and ``collapse.*`` counters a fresh
-    computation would: whether *this* process computed the analysis is
-    an execution accident (worker processes have cold caches), and
-    per-task observability must be byte-identical at every ``--jobs``
-    level.
+    ``collapse.analyze`` span a fresh computation would: whether *this*
+    process computed the analysis is an execution accident (worker
+    processes have cold caches), and per-task traces must be
+    byte-identical at every ``--jobs`` level.
     """
     per_circuit = _CACHE.get(circuit)
     if per_circuit is not None and level in per_circuit:
@@ -212,8 +209,6 @@ def analyze_faults_cached(
                 "collapse.analyze", circuit=circuit.name, level=level
             ):
                 pass
-            for key, value in analysis.counters().items():
-                obs.metrics.counter(key, circuit=circuit.name).inc(value)
         return analysis
     analysis = analyze_faults(circuit, level=level, obs=obs)
     if per_circuit is None:

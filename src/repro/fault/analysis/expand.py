@@ -14,20 +14,19 @@ closes it exactly:
   emitted test set, so its detected/untested status is *measured*, not
   assumed.
 
-The expansion simulation runs on a private metrics registry and is
-re-reported as ``sim.expansion_events``: it is bookkeeping cost, not
-engine search effort, and must not inflate the engine's ``sim.events``
-perf counter.
+The expansion simulation runs on its own fault simulator, whose event
+count is reported as ``sim.expansion_events``: it is bookkeeping cost,
+not engine search effort, and must not inflate the engine's
+``sim.events`` perf counter.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from ...circuit.netlist import Circuit
-from ...obs import MetricsRegistry, Observability
 from ..model import Fault, FaultStatus, summarize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,7 +38,6 @@ def expand_result(
     engine_result: "AtpgResult",
     analysis: "FaultAnalysis",
     circuit: Circuit,
-    obs: Optional[Observability] = None,
 ) -> "AtpgResult":
     """Lift ``engine_result`` over ``analysis``'s full fault universe.
 
@@ -63,19 +61,10 @@ def expand_result(
     post_detected: Dict[Fault, int] = {}
     expansion_events = 0
     if untargeted and engine_result.test_set.sequences:
-        private = MetricsRegistry()
-        simulator = FaultSimulator(
-            circuit, faults=untargeted, metrics=private
-        )
+        simulator = FaultSimulator(circuit, faults=untargeted)
         report = simulator.run(engine_result.test_set.sequences)
         post_detected = report.detected
-        expansion_events = int(
-            sum(
-                value
-                for key, value in private.dump().items()
-                if key.startswith("sim.events")
-            )
-        )
+        expansion_events = simulator.events
     statuses: Dict[Fault, FaultStatus] = {}
     for fault in analysis.all_faults:
         rep = analysis.class_of[fault]
@@ -92,10 +81,6 @@ def expand_result(
             )
         else:
             statuses[fault] = FaultStatus(fault)
-    if obs is not None and expansion_events:
-        obs.metrics.counter(
-            "sim.expansion_events", circuit=circuit.name
-        ).inc(expansion_events)
     # Selection provenance for the lifecycle records: which collapse
     # level produced the target list and how many universe faults each
     # targeted representative stands for.  Class sizes come from one

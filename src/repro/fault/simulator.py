@@ -40,7 +40,6 @@ from .._util import chunked
 from ..circuit.gates import ONE, X, ZERO
 from ..circuit.netlist import Circuit
 from ..errors import FaultError
-from ..obs import MetricsRegistry
 from ..sim.parallel import WORD_BITS, ParallelSimulator
 from .collapse import collapse_faults
 from .model import Fault
@@ -114,20 +113,18 @@ class LaneRecord:
 class FaultSimulator:
     """Reusable fault simulator bound to one circuit.
 
-    Effort lands in ``metrics`` (shared with the owning engine's
-    :class:`~repro.obs.Observability` registry, or private by default):
-    ``sim.events`` counts machine-steps (one simulated machine through
-    one vector), ``sim.faults_dropped`` counts per-pass fault drops,
-    ``sim.sequences`` counts sequences simulated.  ``backend`` is
-    forwarded to the underlying
-    :class:`~repro.sim.parallel.ParallelSimulator`.
+    Effort is counted in plain ints: ``events`` (machine-steps, one
+    simulated machine through one vector), ``faults_dropped`` (per-pass
+    fault drops) and ``sequences`` (sequences simulated);
+    :meth:`counters` reports them with the parallel simulator's word
+    effort under their ``sim.*`` names.  ``backend`` is forwarded to
+    the underlying :class:`~repro.sim.parallel.ParallelSimulator`.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         faults: Optional[Sequence[Fault]] = None,
-        metrics: Optional[MetricsRegistry] = None,
         backend: str = "compiled",
     ):
         if any(dff.init == X for dff in circuit.dffs()):
@@ -136,25 +133,14 @@ class FaultSimulator:
                 "values; two-valued fault simulation needs a reset state"
             )
         self.circuit = circuit
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._parallel = ParallelSimulator(
-            circuit, metrics=self.metrics, backend=backend
-        )
-        self.events_counter = self.metrics.counter(
-            "sim.events", circuit=circuit.name
-        )
-        self.dropped_counter = self.metrics.counter(
-            "sim.faults_dropped", circuit=circuit.name
-        )
-        self.sequences_counter = self.metrics.counter(
-            "sim.sequences", circuit=circuit.name
-        )
+        self._parallel = ParallelSimulator(circuit, backend=backend)
+        self.events = 0
+        self.faults_dropped = 0
+        self.sequences = 0
         # Machine-steps spent expanding collapsed fault lists back over
-        # the full universe (run_analyzed); kept out of sim.events so
+        # the full universe (run_analyzed); kept out of ``events`` so
         # engine search effort stays comparable across collapse levels.
-        self.expansion_counter = self.metrics.counter(
-            "sim.expansion_events", circuit=circuit.name
-        )
+        self.expansion_events = 0
         if faults is None:
             faults = collapse_faults(circuit).representatives
         self.faults: List[Fault] = list(faults)
@@ -175,6 +161,16 @@ class FaultSimulator:
         ] = {}
 
     # -- public API -----------------------------------------------------------
+
+    def counters(self) -> Dict[str, int]:
+        """The simulator's effort under its ``sim.*`` names."""
+        counters = {
+            "sim.events": self.events,
+            "sim.faults_dropped": self.faults_dropped,
+            "sim.sequences": self.sequences,
+        }
+        counters.update(self._parallel.counters())
+        return counters
 
     def run(
         self,
@@ -257,13 +253,13 @@ class FaultSimulator:
         steps = [record.first_steps.get(fault, length) for fault in faults]
         steps = [step if step < length else None for step in steps]
         longest = self._charge(length, steps)
-        self.sequences_counter.inc()
+        self.sequences += 1
         detected = {
             fault: 0 for fault, step in zip(faults, steps) if step is not None
         }
         if drop:
             undetected = [fault for fault in faults if fault not in detected]
-            self.dropped_counter.inc(len(faults) - len(undetected))
+            self.faults_dropped += len(faults) - len(undetected)
         else:
             undetected = list(faults)
         return FaultSimReport(
@@ -286,7 +282,7 @@ class FaultSimulator:
         detection cannot be inferred from the kept witnesses — see
         :mod:`repro.fault.analysis.dominance`), and expands both over
         the full fault universe.  The dropped-class pass is charged to
-        ``sim.expansion_events`` instead of ``sim.events``.  Untestable
+        ``expansion_events`` instead of ``events``.  Untestable
         classes are reported undetected (they are, provably).
         """
         rep_report = self.run(
@@ -299,14 +295,14 @@ class FaultSimulator:
             if rep in analysis.dominated
         ]
         if dropped and sequences:
-            events_counter = self.events_counter
-            self.events_counter = self.expansion_counter
+            events = self.events
             try:
                 dropped_report = self.run(
                     sequences, faults=dropped, drop=drop
                 )
             finally:
-                self.events_counter = events_counter
+                self.expansion_events += self.events - events
+                self.events = events
             detected_by_rep.update(dropped_report.detected)
         detected, undetected = analysis.expand_detected(detected_by_rep)
         return FaultSimReport(
@@ -340,7 +336,7 @@ class FaultSimulator:
             length = len(record.sequence)
             states.update(record.good_states(length))
             steps += length
-        self.events_counter.inc(steps)
+        self.events += steps
         self._parallel.charge(steps)
         return states
 
@@ -360,7 +356,7 @@ class FaultSimulator:
                 run = length
             else:
                 run = min(length, 1 + max(group, default=0))
-            self.events_counter.inc((len(group) + 1) * run)
+            self.events += (len(group) + 1) * run
             total += run
             longest = max(longest, run)
         self._parallel.charge(total)

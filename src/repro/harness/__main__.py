@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="record metrics + trace spans, write <run>/trace.jsonl "
+        help="record trace spans, write <run>/trace.jsonl "
         "and print a per-phase rollup",
     )
     parser.add_argument(

@@ -84,7 +84,7 @@ def run_engine_on_circuit(
     faults = select_target_faults(analysis, config)
     runner = get_engine(engine, circuit, budget=config.budget, obs=obs)
     result = runner.run(faults)
-    return expand_result(result, analysis, circuit, obs=obs)
+    return expand_result(result, analysis, circuit)
 
 
 def run_pair(

@@ -17,13 +17,12 @@ With ``config.store_dir`` set, :func:`repro.harness.runner
   spawned-worker pool otherwise, and their successful records are
   stored for every later run.
 
-Cache traffic is counted in ``service.cache_hits`` /
-``service.cache_misses`` on a parent-side
-:class:`~repro.obs.MetricsRegistry`, dumped to
-``<run_dir>/service.json``.  Probing happens in canonical task order
-in the parent, so the counters are deterministic across ``--jobs``
-levels; they never enter ledger rows or the report text (which must
-stay byte-identical between cold and warm runs).
+Cache traffic is counted in the session's ``hits`` / ``misses``,
+written to ``<run_dir>/service.json`` as ``cache_hits`` /
+``cache_misses``.  Probing happens in canonical task order in the
+parent, so the counts are deterministic across ``--jobs`` levels; they
+never enter ledger rows or the report text (which must stay
+byte-identical between cold and warm runs).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List
 
-from ..obs import MetricsRegistry
 from ..service import ResultStore
 from ..service import keys as service_keys
 from . import ledger as ledger_mod
@@ -48,9 +46,8 @@ class ServiceSession:
     def __init__(self, config: HarnessConfig):
         self.config = config
         self.store = ResultStore(config.store_dir)
-        self.metrics = MetricsRegistry()
-        self.hits = self.metrics.counter("service.cache_hits")
-        self.misses = self.metrics.counter("service.cache_misses")
+        self.hits = 0
+        self.misses = 0
         self._cell_keys: Dict[str, str] = {}
 
     # -- keys ----------------------------------------------------------
@@ -81,18 +78,18 @@ class ServiceSession:
     def serve_cached(self, tasks: List, ledger_file: str, emit: Emit) -> List:
         """Append cache hits to the run ledger; returns the misses.
 
-        Probes in canonical task order so hit/miss counters are
+        Probes in canonical task order so hit/miss counts are
         scheduling-independent.
         """
         remaining = []
         for task in tasks:
             data = self.store.get(self.cell_key(task))
             if data is None:
-                self.misses.inc()
+                self.misses += 1
                 remaining.append(task)
                 continue
             ledger_mod.append_record(ledger_file, TaskRecord.from_dict(data))
-            self.hits.inc()
+            self.hits += 1
             emit(f"[service] {task.key} served from cache")
         return remaining
 
@@ -120,8 +117,7 @@ class ServiceSession:
     def summary(self) -> Dict:
         """JSON-able session summary (written to ``service.json``)."""
         return {
-            "metrics": self.metrics.dump(),
-            "cache_hits": self.hits.value,
-            "cache_misses": self.misses.value,
+            "cache_hits": self.hits,
+            "cache_misses": self.misses,
             "store": self.store.stats().to_dict(),
         }

@@ -64,7 +64,7 @@ class HarnessConfig:
     retry_budget_scale: float = 0.5  # budget shrink factor per retry
     runs_dir: str = "runs"  # where run ledgers live
     resume: Optional[str] = None  # run id to resume
-    # Record metrics + trace spans per task and assemble the run's
+    # Record trace spans per task and assemble the run's
     # trace.jsonl.  Observability never feeds the science payload, so
     # this is an execution knob: profiled and unprofiled runs produce
     # identical table rows and may resume each other's ledgers.

@@ -30,7 +30,6 @@ from ..obs.perf import (
     write_snapshot,
 )
 from .config import HarnessConfig
-from .ledger import render_merged_metrics
 from .report import assemble_report
 from .reporting import Reporter
 from .runner import RunResult, run_experiment
@@ -55,8 +54,8 @@ def run_all(
     Progress lines go to ``stream`` (via the ``repro.harness`` logger)
     as cells complete; the report is also written to
     ``<run_dir>/report.txt``.  With profiling on, the assembled
-    ``trace.jsonl`` is summarized as a per-phase rollup plus a metrics
-    table after the report.  ``perf_snapshot`` names a file to write
+    ``trace.jsonl`` is summarized as a per-phase rollup after the
+    report.  ``perf_snapshot`` names a file to write
     the run's :class:`~repro.obs.perf.PerfSnapshot` to (one PerfRecord
     per completed cell, with environment provenance).
 
@@ -101,7 +100,7 @@ def run_all(
             )
         reporter.report(report)
         if result.trace_file:
-            reporter.report(_profile_summary(config, result))
+            reporter.report(_profile_summary(result))
         if perf_snapshot:
             snapshot = snapshot_from_ledger(
                 result.ledger_file,
@@ -121,17 +120,10 @@ def run_all(
             reporter.close()
 
 
-def _profile_summary(config: HarnessConfig, result: RunResult) -> str:
-    """Per-phase span rollup + merged metrics table for a profiled run."""
-    spans = read_trace_jsonl(result.trace_file)
-    sections = [
-        render_rollup(
-            spans,
-            top=15,
-            title=f"Profile: hottest span paths ({result.run_id})",
-        )
-    ]
-    metrics = render_merged_metrics(result.records, config.fingerprint())
-    if metrics:
-        sections.append(metrics)
-    return "\n\n".join(sections)
+def _profile_summary(result: RunResult) -> str:
+    """Per-phase span rollup for a profiled run."""
+    return render_rollup(
+        read_trace_jsonl(result.trace_file),
+        top=15,
+        title=f"Profile: hottest span paths ({result.run_id})",
+    )

@@ -9,7 +9,7 @@ source of truth: the final report is assembled *from ledger rows*, and
 Record schema (one JSON object per line)::
 
     {
-      "v": 6,                     # record version
+      "v": 7,                     # record version
       "key": "table2:hitec:dk16.ji.sd",
       "kind": "hitec_pair",       # task kind (see runner.TaskSpec)
       "pair": "dk16.ji.sd",       # circuit pair, null for global tasks
@@ -22,10 +22,9 @@ Record schema (one JSON object per line)::
       "wall_seconds": 1.3,        # wall clock of the attempt
       "peak_rss_kb": 51234,       # worker peak RSS (ru_maxrss)
       "counters": {...},          # dotted AtpgResult counters (see
-                                  #   DESIGN.md "Metric naming"); the
+                                  #   DESIGN.md "Counter naming"); the
                                   #   perf and search observatories
                                   #   read these directly
-      "metrics": {...},           # MetricsRegistry.dump() of the attempt
       "lifecycle": {...},         # deterministic per-fault lifecycle
                                   #   core: schema + records per scope
                                   #   (repro.obs.coverage; ok ATPG rows)
@@ -40,8 +39,10 @@ designated wall-time columns, keeping rows byte-identical across
 the :mod:`repro.service` content-addressed store holds — a cache hit
 replays the stored row into the run ledger.
 
-Version history: v6 dropped the derived ``perf``/``search`` cores (a
-v5 row loads with them discarded); rows older than v5 are rejected.
+Version history: v6 dropped the derived ``perf``/``search`` cores and
+v7 the ``metrics`` column, a labelled-registry dump that repeated
+``counters`` (a v5 or v6 row loads with those fields discarded); rows
+older than v5 are rejected.
 
 A run killed mid-write leaves a torn final line; :func:`load_records`
 tolerates any undecodable line (counting it) so a resumed run can pick
@@ -61,11 +62,10 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..lint.gate import _SUMMARY_DETAIL_LIMIT, LintLedger
 from ..lint.severity import Severity
-from ..obs import merge_dumps, render_metrics_summary
 
 LEDGER_NAME = "ledger.jsonl"
-RECORD_VERSION = 6
-#: Oldest record version still loadable: a v5 row holds every field v6
+RECORD_VERSION = 7
+#: Oldest record version still loadable: a v5 row holds every field v7
 #: keeps, older rows lack per-fault lifecycle records.
 MIN_RECORD_VERSION = 5
 
@@ -90,7 +90,6 @@ class TaskRecord:
     wall_seconds: float = 0.0
     peak_rss_kb: int = 0
     counters: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    metrics: Dict[str, Any] = dataclasses.field(default_factory=dict)
     lifecycle: Dict[str, Any] = dataclasses.field(default_factory=dict)
     payload: Dict[str, Any] = dataclasses.field(default_factory=dict)
     error: str = ""
@@ -111,8 +110,8 @@ class TaskRecord:
                 f"MIN_RECORD_VERSION={MIN_RECORD_VERSION}"
             )
         data["tables"] = tuple(data.get("tables") or ())
-        # Unknown fields — a v5 row's perf/search cores included — are
-        # dropped.
+        # Unknown fields — a v5 row's perf/search cores and a v5/v6
+        # row's metrics included — are dropped.
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
@@ -221,23 +220,6 @@ def completed_by_key(
             continue
         completed[record.key] = record
     return completed
-
-
-def render_merged_metrics(
-    records: Iterable[TaskRecord], fingerprint: Optional[str] = None
-) -> str:
-    """The metrics table of every completed cell's registry dump,
-    merged ("" when no cell recorded metrics)."""
-    dumps = [
-        record.metrics
-        for record in completed_by_key(records, fingerprint).values()
-        if record.metrics
-    ]
-    if not dumps:
-        return ""
-    return render_metrics_summary(
-        merge_dumps(dumps), title="Metrics (all tasks merged)"
-    )
 
 
 def quarantined_keys(records: Iterable[TaskRecord]) -> List[str]:

@@ -255,11 +255,10 @@ def execute_task(task: TaskSpec, config: HarnessConfig) -> Dict:
     the payload, so the parent can merge every task's DRC diagnostics
     into the report exactly as the serial harness did.
 
-    Every task gets a fresh :class:`~repro.obs.Observability` bundle —
-    its metrics dump always rides in the payload; with
-    ``config.profile`` the cell also runs under a recording tracer and
-    the span records ride along as ``payload["trace"]``.  Per-task
-    bundles keep the trace a pure function of the cell, independent of
+    Every task gets a fresh :class:`~repro.obs.Observability`; with
+    ``config.profile`` the cell runs under a recording tracer and the
+    span records ride along as ``payload["trace"]``.  Per-task tracers
+    keep the trace a pure function of the cell, independent of
     scheduling order or worker placement.
     """
     if task.kind not in _CELLS:
@@ -271,7 +270,6 @@ def execute_task(task: TaskSpec, config: HarnessConfig) -> Dict:
     with obs.trace.span("task", key=task.key, kind=task.kind):
         payload = _CELLS[task.kind](task, config, obs)
     payload["lint"] = ledger_mod.serialize_lint_ledger(GLOBAL_LEDGER)
-    payload["metrics"] = obs.metrics.dump()
     if config.profile:
         payload["trace"] = obs.trace.export()
     return payload
@@ -344,7 +342,6 @@ def _record_for(
 ) -> TaskRecord:
     payload = dict(payload or {})
     counters = payload.pop("counters", {})
-    metrics = payload.pop("metrics", {})
     records = payload.pop("lifecycle", {})
     # Successful attempts carry the per-fault lifecycle core (empty for
     # non-ATPG cells).
@@ -364,7 +361,6 @@ def _record_for(
         wall_seconds=wall,
         peak_rss_kb=rss_kb,
         counters=counters,
-        metrics=metrics,
         lifecycle=lifecycle,
         payload=payload,
         error=error,
@@ -722,9 +718,9 @@ def run_experiment(
 
         session = ServiceSession(config)
         todo = session.serve_cached(todo, ledger_file, emit)
-        if session.hits.value:
+        if session.hits:
             emit(
-                f"[service] {session.hits.value} cell(s) from cache, "
+                f"[service] {session.hits} cell(s) from cache, "
                 f"{len(todo)} to compute"
             )
 

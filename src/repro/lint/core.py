@@ -271,9 +271,6 @@ class LintReport:
     # of to_dict() so ledger rows stay machine-independent; the obs
     # trace carries the same timings as span wall_ms metadata.
     rule_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
-    # Findings each rule emitted (truncated ones included), as counted
-    # into ``lint.findings``; lets a memoized report replay its metrics.
-    rule_findings: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
@@ -365,7 +362,7 @@ def run_lint(
     circuits are exactly what the analyzer must survive.
 
     ``obs`` receives one ``lint.rule`` trace span per rule (wall timing
-    as span metadata) and ``lint.findings{rule=...}`` counters.
+    as span metadata).
     """
     from . import rules as _builtin_rules  # noqa: F401  (populate REGISTRY)
 
@@ -377,7 +374,6 @@ def run_lint(
     diagnostics: List[Diagnostic] = []
     ran: List[str] = []
     rule_seconds: Dict[str, float] = {}
-    rule_findings: Dict[str, int] = {}
     start = time.perf_counter()
 
     for rule_entry in selected:
@@ -421,11 +417,6 @@ def run_lint(
                 )
                 continue
         rule_seconds[rule_entry.rule_id] = time.perf_counter() - rule_start
-        if emitted:
-            rule_findings[rule_entry.rule_id] = emitted
-            obs.metrics.counter(
-                "lint.findings", rule=rule_entry.rule_id
-            ).inc(emitted)
         overflow = emitted - config.max_findings_per_rule
         if overflow > 0:
             diagnostics.append(
@@ -440,7 +431,6 @@ def run_lint(
                     category=rule_entry.category,
                 )
             )
-    obs.metrics.counter("lint.rules_run").inc(len(ran))
 
     return LintReport(
         circuit_name=circuit.name,
@@ -448,26 +438,20 @@ def run_lint(
         rules_run=tuple(ran),
         elapsed_seconds=time.perf_counter() - start,
         rule_seconds=rule_seconds,
-        rule_findings=rule_findings,
     )
 
 
 def replay_lint_observability(report: LintReport, obs: Observability) -> None:
-    """Emit the ``lint.rule`` spans and ``lint.findings`` /
-    ``lint.rules_run`` counters that :func:`run_lint` emitted when it
-    produced ``report``.
+    """Emit the ``lint.rule`` spans that :func:`run_lint` emitted when
+    it produced ``report``.
 
     A reused report must look like a fresh run: whether this process
     already linted the circuit is an execution accident (worker
-    processes have cold memos), and per-task observability must be
-    identical at every ``--jobs`` level.
+    processes have cold memos), and per-task traces must be identical
+    at every ``--jobs`` level.
     """
     for rule_id in report.rules_run:
         with obs.trace.span(
             "lint.rule", rule=rule_id, circuit=report.circuit_name
         ):
             pass
-        emitted = report.rule_findings.get(rule_id)
-        if emitted:
-            obs.metrics.counter("lint.findings", rule=rule_id).inc(emitted)
-    obs.metrics.counter("lint.rules_run").inc(len(report.rules_run))

@@ -140,13 +140,13 @@ def gate_circuit(
     config's ``fail_on`` threshold (error severity by default); ``warn``
     logs a one-line summary at WARNING and the individual findings at
     DEBUG.  Every non-OFF invocation is recorded in ``ledger``.
-    ``obs`` is forwarded to :func:`run_lint` for per-rule spans/metrics.
+    ``obs`` is forwarded to :func:`run_lint` for per-rule spans.
 
     Gates share one report per circuit (structure version) and config:
     the post-synthesis and pre-ATPG gates, and every engine's pre-ATPG
     gate on the same netlist, run the rules once.  A reused report
-    still gets its ledger stage, its strict-mode check and the spans
-    and counters a fresh run would have emitted.
+    still gets its ledger stage, its strict-mode check and the spans a
+    fresh run would have emitted.
     """
     mode = GateMode.parse(mode)
     if mode is GateMode.OFF:

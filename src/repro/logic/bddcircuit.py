@@ -110,10 +110,8 @@ def combinationally_equivalent(left: Circuit, right: Circuit) -> bool:
         return False
     order = default_variable_order(left)
     left_bdds = CircuitBdds(left, order)
-    right_bdds = CircuitBdds(right, order)
-    # The two managers are distinct but share the variable order, so node
-    # ids are comparable only through re-evaluation; rebuild right on
-    # left's manager by structural construction instead.
+    # Build right's functions in left's manager: within one manager equal
+    # functions share a node id, so each comparison is one id check.
     right_on_left = node_functions(right, left_bdds.manager)
     for left_po, right_po in zip(left.outputs, right.outputs):
         if left_bdds.node_fn[left_po] != right_on_left[right_po]:

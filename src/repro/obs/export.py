@@ -1,4 +1,4 @@
-"""Trace/metric exporters: JSONL dump, canonical form, phase rollup.
+"""Trace exporters: JSONL dump, canonical form, phase rollup.
 
 ``trace.jsonl`` holds one span record per line, in canonical task
 order then span start order.  Two field classes coexist:

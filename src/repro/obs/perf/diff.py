@@ -40,12 +40,6 @@ HIGHER_IS_WORSE = frozenset(
         "atpg.cpu_seconds",
         "atpg.faults_aborted",
         "sim.events",
-        # Word-level effort of the parallel simulator: more evaluate
-        # calls or more words loaded per run = more simulation work for
-        # the same science.
-        "sim.pattern_batches",
-        "sim.words_packed",
-        "sim.sequences",
         # Expansion bookkeeping (post-simulating collapsed-away faults)
         # is cheap but real work; growth means the analyzer is dropping
         # more than the engine covers.
@@ -56,9 +50,6 @@ HIGHER_IS_WORSE = frozenset(
         "search.states_examined",
         "search.invalid_events",
         "search.unique_invalid",
-        # Cache-first runs (repro.service): a miss is a cell computed
-        # from scratch that a warm store would have served.
-        "service.cache_misses",
         # Coverage observatory: more aborts under any taxonomy reason =
         # more faults left unresolved by the same budget.  The
         # lifecycle detection counters deliberately have no direction
@@ -81,9 +72,6 @@ LOWER_IS_WORSE = frozenset(
     {
         "cover.faults_detected",
         "cover.faults_redundant",
-        # Cache-first runs: fewer hits against the same store = cells
-        # needlessly recomputed (e.g. a key-schema instability).
-        "service.cache_hits",
     }
 )
 

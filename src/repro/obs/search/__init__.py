@@ -30,11 +30,7 @@ This package deliberately never imports ``repro.atpg`` or
 """
 
 from .classifier import StateClassifier, StateCube, cube_key
-from .observer import (
-    FAULT_DWELL_BUCKETS,
-    SearchObserver,
-    SearchTally,
-)
+from .observer import SearchObserver, SearchTally
 from .report import (
     SEARCH_PREFIX,
     WasteRow,
@@ -51,7 +47,6 @@ from .report import (
 )
 
 __all__ = [
-    "FAULT_DWELL_BUCKETS",
     "SEARCH_PREFIX",
     "SearchObserver",
     "SearchTally",

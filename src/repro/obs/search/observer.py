@@ -4,7 +4,8 @@ One :class:`SearchObserver` watches one engine *run*: every state cube
 the backward justification proposes (HITEC/SEST) and every concrete
 state a simulation-based run drives through is streamed in, classified
 by the circuit's shared :class:`~.classifier.StateClassifier`, and
-tallied into ``search.*`` instruments:
+tallied into a :class:`SearchTally`, whose ``counters()`` are the
+``search.*`` keys:
 
 ========================  ==================================================
 ``search.states_examined``  examine events (one per streamed cube/state)
@@ -20,9 +21,8 @@ tallied into ``search.*`` instruments:
 Everything increments at deterministic points of the search trajectory
 — never from wall time — so the tallies are byte-identical across
 ``--jobs`` levels, like every other WorkClock-ordered counter.  The
-per-fault dwell (``search.fault_invalid_events``) is read off the
-tally by the engine's fault book (``repro.atpg.result.FaultBook``),
-which brackets each targeted fault.
+per-fault dwell is read off the tally by the engine's fault book
+(``repro.atpg.result.FaultBook``), which brackets each targeted fault.
 """
 
 from __future__ import annotations
@@ -30,17 +30,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence, Set, Tuple
 
-from ..metrics import MetricsRegistry
 from .classifier import StateClassifier, StateCube, cube_key
 
 State = Tuple[int, ...]
-
-#: Histogram buckets for per-fault invalid-examination counts (dwell),
-#: ``search.fault_invalid_events``.
-FAULT_DWELL_BUCKETS: Tuple[float, ...] = (
-    0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024,
-)
-
 
 @dataclasses.dataclass
 class SearchTally:
@@ -85,52 +77,26 @@ class SearchObserver:
     "distinct cubes examined by *this* run".
     """
 
-    def __init__(
-        self,
-        classifier: StateClassifier,
-        metrics: Optional[MetricsRegistry] = None,
-        **labels: object,
-    ):
+    def __init__(self, classifier: StateClassifier):
         self.classifier = classifier
         self.tally = SearchTally()
         self._seen_cubes: Set[StateCube] = set()
         self._seen_states: Set[State] = set()
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self._ctr_examined = registry.counter(
-            "search.states_examined", **labels
-        )
-        self._ctr_valid = registry.counter("search.valid_events", **labels)
-        self._ctr_invalid = registry.counter(
-            "search.invalid_events", **labels
-        )
-        self._ctr_partial = registry.counter(
-            "search.partial_states", **labels
-        )
-        self._ctr_learned = registry.counter(
-            "search.learned_prunes", **labels
-        )
-        self._ctr_unclassified = registry.counter(
-            "search.unclassified", **labels
-        )
 
     # -- streaming ----------------------------------------------------------
 
     def _tally_verdict(self, verdict: Optional[bool], fresh: bool) -> None:
         tally = self.tally
         tally.examined_events += 1
-        self._ctr_examined.inc()
         if verdict is None:
             tally.unclassified += 1
-            self._ctr_unclassified.inc()
             return
         if verdict:
             tally.valid_events += 1
-            self._ctr_valid.inc()
             if fresh:
                 tally.unique_valid += 1
         else:
             tally.invalid_events += 1
-            self._ctr_invalid.inc()
             if fresh:
                 tally.unique_invalid += 1
 
@@ -154,12 +120,10 @@ class SearchObserver:
         """An X-containing state skipped by trace replay (satellite of
         the paper's "#states HITEC trav" reconciliation)."""
         self.tally.partial_states += 1
-        self._ctr_partial.inc()
 
     def note_learned_prune(self) -> None:
         """A cube rejected by the illegal-state cache without re-proof."""
         self.tally.learned_prunes += 1
-        self._ctr_learned.inc()
 
     def counters(self) -> Dict[str, int]:
         return self.tally.counters()

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..circuit.gates import ONE, ZERO
 from ..circuit.netlist import Circuit
 from ..errors import SimulationError
-from ..obs import MetricsRegistry
 from .compile import CompiledProgram, compiled_program_cached
 
 WORD_BITS = 64
@@ -142,8 +141,8 @@ class BoundStepper:
         are always canonical.
         """
         sim = self._sim
-        sim._batches.inc()
-        sim._words.inc(len(pi_words) + len(state_words))
+        sim.pattern_batches += 1
+        sim.words_packed += len(pi_words) + len(state_words)
         program = self._program
         mask = self._mask
         values = self._scratch
@@ -235,10 +234,9 @@ class BoundStepper:
 class ParallelSimulator:
     """Compiled word-parallel two-valued simulator for one circuit.
 
-    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) receives the
-    ``sim.pattern_batches`` / ``sim.words_packed`` effort counters; a
-    private registry is created when none is shared, so counting is
-    unconditional and the hot path stays branch-free.
+    ``pattern_batches`` / ``words_packed`` count effort as plain ints
+    (read together through :meth:`counters`); counting is
+    unconditional, so the hot path stays branch-free.
 
     ``backend`` selects ``"compiled"`` (generated word-op kernels, the
     default) or ``"interpreted"`` (the reference plan interpreter).
@@ -249,7 +247,6 @@ class ParallelSimulator:
     def __init__(
         self,
         circuit: Circuit,
-        metrics: Optional[MetricsRegistry] = None,
         backend: str = "compiled",
     ):
         if backend not in BACKENDS:
@@ -260,13 +257,8 @@ class ParallelSimulator:
         self.circuit = circuit
         self.backend = backend
         self.program: CompiledProgram = compiled_program_cached(circuit)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._batches = self.metrics.counter(
-            "sim.pattern_batches", circuit=circuit.name
-        )
-        self._words = self.metrics.counter(
-            "sim.words_packed", circuit=circuit.name
-        )
+        self.pattern_batches = 0
+        self.words_packed = 0
         # Legacy aliases (pre-compile layout); external code and tests
         # navigate slots through node_index(), these stay for direct
         # pokes at the value array.
@@ -291,11 +283,17 @@ class ParallelSimulator:
         """Count ``steps`` word evaluations of one machine word:
         ``sim.pattern_batches`` by ``steps`` and ``sim.words_packed`` by
         one word per PI and per DFF per step."""
-        self._batches.inc(steps)
-        self._words.inc(
-            steps
-            * (len(self.program.input_slots) + len(self.program.dff_out_slots))
+        self.pattern_batches += steps
+        self.words_packed += steps * (
+            len(self.program.input_slots) + len(self.program.dff_out_slots)
         )
+
+    def counters(self) -> Dict[str, int]:
+        """The ``sim.pattern_batches`` / ``sim.words_packed`` effort."""
+        return {
+            "sim.pattern_batches": self.pattern_batches,
+            "sim.words_packed": self.words_packed,
+        }
 
     def bind_overrides(
         self,
@@ -345,8 +343,8 @@ class ParallelSimulator:
                 f"expected {len(program.dff_out_slots)} state words, got "
                 f"{len(state_words)}"
             )
-        self._batches.inc()
-        self._words.inc(len(pi_words) + len(state_words))
+        self.pattern_batches += 1
+        self.words_packed += len(pi_words) + len(state_words)
         values = [0] * program.num_slots
         for slot, word in zip(program.input_slots, pi_words):
             values[slot] = word & mask

@@ -92,7 +92,6 @@ class TestRegistry:
         obs = Observability()
         engine = get_engine("sest", dk16_rugged.circuit, budget=LEAN, obs=obs)
         assert engine.obs is obs
-        assert engine.metrics is obs.metrics
 
 
 class TestProtocol:

@@ -25,7 +25,7 @@ def reference_run(simulator, sequences, faults=None, drop=True):
     vectors = 0
     for index, sequence in enumerate(sequences):
         vectors += len(sequence)
-        simulator.sequences_counter.inc()
+        simulator.sequences += 1
         caught = _simulate_sequence(simulator, sequence, remaining, states)
         for fault in remaining:
             if fault in caught:
@@ -33,7 +33,7 @@ def reference_run(simulator, sequences, faults=None, drop=True):
         if drop:
             before = len(remaining)
             remaining = [f for f in remaining if f not in caught]
-            simulator.dropped_counter.inc(before - len(remaining))
+            simulator.faults_dropped += before - len(remaining)
     return FaultSimReport(
         detected=detected,
         undetected=remaining,
@@ -86,7 +86,7 @@ def _simulate_group(simulator, sequence, group, states_out):
         detected &= mask
         if detected == target:
             break  # every fault in the group already caught
-    simulator.events_counter.inc((len(group) + 1) * steps)
+    simulator.events += (len(group) + 1) * steps
     caught: Set[object] = set()
     for position, fault in enumerate(group, start=1):
         if (detected >> position) & 1:

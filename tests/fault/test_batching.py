@@ -42,16 +42,25 @@ def _report_core(report):
     )
 
 
+def _effort(simulator):
+    """Every count the simulator keeps: its ``counters()`` and the
+    expansion events ``run_analyzed`` charges apart."""
+    return dict(
+        simulator.counters(),
+        **{"sim.expansion_events": simulator.expansion_events},
+    )
+
+
 def _run_at_bounds(make_simulator, call):
     """``call(simulator)`` at every lane bound; returns the report cores
-    with each run's full counter dump."""
+    with each run's full effort counts."""
     results = []
     for bound in BOUNDS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator_module, "LANE_BOUND", bound)
             simulator = make_simulator()
             core = _report_core(call(simulator))
-        results.append((core, simulator.metrics.dump()))
+        results.append((core, _effort(simulator)))
     return results
 
 
@@ -65,7 +74,7 @@ class TestRunInvariance:
         assert len(oracle.faults) > 63
         expected = (
             _report_core(reference_run(oracle, sequences, drop=drop)),
-            oracle.metrics.dump(),
+            _effort(oracle),
         )
         results = _run_at_bounds(
             lambda: FaultSimulator(circuit),
@@ -108,25 +117,13 @@ class TestSchedulingKnobs:
         lanes.run(sequences)
         oracle = FaultSimulator(circuit)
         reference_run(oracle, sequences)
-        assert lanes.metrics.dump() == oracle.metrics.dump()
+        assert _effort(lanes) == _effort(oracle)
 
 
 class TestSingleFaultStepperCache:
     """detects() reuses a cached bound stepper per single fault — a
     pure perf move: results and every deterministic counter must match
     a fresh-bind-per-call simulator exactly, on both backends."""
-
-    def _counters(self, simulator):
-        circuit = simulator.circuit
-        return {
-            "sim.events": simulator.events_counter.snapshot(),
-            "sim.pattern_batches": simulator.metrics.counter(
-                "sim.pattern_batches", circuit=circuit.name
-            ).snapshot(),
-            "sim.words_packed": simulator.metrics.counter(
-                "sim.words_packed", circuit=circuit.name
-            ).snapshot(),
-        }
 
     @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
     def test_repeated_detects_matches_fresh_binds(
@@ -139,18 +136,14 @@ class TestSingleFaultStepperCache:
 
         # Oracle: a fresh simulator per call can never share a stepper.
         fresh_results = []
-        fresh_totals = {
-            "sim.events": 0,
-            "sim.pattern_batches": 0,
-            "sim.words_packed": 0,
-        }
+        fresh_totals = dict.fromkeys(cached.counters(), 0)
         for fault in faults:
             for sequence in sequences:
                 oracle = FaultSimulator(
                     circuit, faults=faults, backend=backend
                 )
                 fresh_results.append(oracle.detects(sequence, fault))
-                for key, value in self._counters(oracle).items():
+                for key, value in oracle.counters().items():
                     fresh_totals[key] += value
 
         cached_results = [
@@ -160,7 +153,7 @@ class TestSingleFaultStepperCache:
         ]
         assert cached_results == fresh_results
         assert any(cached_results)  # the oracle must exercise hits
-        assert self._counters(cached) == fresh_totals
+        assert cached.counters() == fresh_totals
         # The cache actually engaged: one stepper per distinct fault.
         assert len(cached._single_steppers) == len(faults)
 

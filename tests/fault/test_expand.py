@@ -126,13 +126,14 @@ class TestRunAnalyzedExplicit:
     def test_expansion_events_charged_separately(self):
         circuit = self._chain()
         analysis = analyze_faults(circuit, level=LEVEL_FULL)
+        sequences = [[[ONE, ONE, ONE]]]
         simulator = FaultSimulator(circuit)
-        simulator.run_analyzed([[[ONE, ONE, ONE]]], analysis)
-        assert simulator.expansion_counter.snapshot() > 0
-        dump = simulator.metrics.dump()
-        assert any(
-            key.startswith("sim.expansion_events") for key in dump
-        )
+        simulator.run_analyzed(sequences, analysis)
+        assert simulator.expansion_events > 0
+        # sim.events holds only the representatives' pass.
+        plain = FaultSimulator(circuit)
+        plain.run(sequences, faults=analysis.representatives)
+        assert simulator.events == plain.events
 
 
 class TestExpandResult:

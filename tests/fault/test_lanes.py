@@ -34,14 +34,6 @@ def _core(report):
     )
 
 
-def _sim_counters(simulator):
-    return {
-        key: value
-        for key, value in simulator.metrics.dump().items()
-        if key.startswith("sim.")
-    }
-
-
 @st.composite
 def cases(draw):
     """A random circuit, a fault list drawn from its whole universe
@@ -80,7 +72,7 @@ class TestRunMatchesGroupLoop:
                 )
                 report = lanes.run(sequences, drop=drop)
             assert _core(report) == expected, bound
-            assert _sim_counters(lanes) == _sim_counters(oracle), bound
+            assert lanes.counters() == oracle.counters(), bound
 
     @settings(max_examples=25, deadline=None)
     @given(cases(), st.sampled_from(BACKENDS))
@@ -94,7 +86,7 @@ class TestRunMatchesGroupLoop:
                 patch.setattr(simulator_module, "LANE_BOUND", bound)
                 lanes = FaultSimulator(circuit, faults=[], backend=backend)
                 records = lanes.simulate_batch(sequences, faults)
-            assert not any(_sim_counters(lanes).values())
+            assert not any(lanes.counters().values())
             oracle = FaultSimulator(circuit, faults=[], backend=backend)
             for index, (sequence, record) in enumerate(
                 zip(sequences, records)
@@ -112,7 +104,7 @@ class TestRunMatchesGroupLoop:
                         oracle, [sequence[:length]], subset, drop
                     )
                     assert _core(got) == _core(want)
-            assert _sim_counters(lanes) == _sim_counters(oracle)
+            assert lanes.counters() == oracle.counters()
 
     @settings(max_examples=25, deadline=None)
     @given(cases(), st.sampled_from(BACKENDS))
@@ -124,12 +116,12 @@ class TestRunMatchesGroupLoop:
             for fault in faults[:6]:
                 reference = reference_run(oracle, [sequence], [fault])
                 # reference_run counts a sequence; detects() does not.
-                oracle.sequences_counter.value -= 1
-                oracle.dropped_counter.value -= len(reference.detected)
+                oracle.sequences -= 1
+                oracle.faults_dropped -= len(reference.detected)
                 assert lanes.detects(sequence, fault) == (
                     fault in reference.detected
                 )
-        assert _sim_counters(lanes) == _sim_counters(oracle)
+        assert lanes.counters() == oracle.counters()
 
 
 class TestGoodTraceStates:

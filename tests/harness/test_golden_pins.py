@@ -32,7 +32,6 @@ from repro.atpg.simbased import SimBasedEngine
 from repro.fault.analysis import analyze_faults_cached, expand_result
 from repro.harness import build_pair
 from repro.harness.config import HarnessConfig, select_target_faults
-from repro.obs import Observability
 from repro.service.keys import circuit_structure_hash
 
 STRUCTURE_HASHES = {
@@ -254,7 +253,7 @@ def test_dk16_search_pinned(engine, side):
 
 # The simulation-based engine (seed 23) under the quick budget on a
 # 40-fault sample drawn with seed 97: the expanded result's counters,
-# the engine registry's sim.* counters and the sha256 of the test set.
+# the engine's fault-simulator counters() and the sha256 of the test set.
 SIMBASED_PINS = {
     ("dk16.ji.sd", "original"): (
         {
@@ -299,12 +298,11 @@ SIMBASED_PINS = {
             "sim.expansion_events": 28340,
         },
         {
-            "sim.events{circuit=dk16.ji.sd}": 32277,
-            "sim.expansion_events{circuit=dk16.ji.sd}": 0,
-            "sim.faults_dropped{circuit=dk16.ji.sd}": 23,
-            "sim.pattern_batches{circuit=dk16.ji.sd}": 4079,
-            "sim.sequences{circuit=dk16.ji.sd}": 120,
-            "sim.words_packed{circuit=dk16.ji.sd}": 36711,
+            "sim.events": 32277,
+            "sim.faults_dropped": 23,
+            "sim.pattern_batches": 4079,
+            "sim.sequences": 120,
+            "sim.words_packed": 36711,
         },
         "6a4a0d02716bd3e9d559332984094db369451317b2aa5e4239c37bc41ccea33d",
     ),
@@ -351,12 +349,11 @@ SIMBASED_PINS = {
             "sim.expansion_events": 31260,
         },
         {
-            "sim.events{circuit=dk16.ji.sd.re}": 28614,
-            "sim.expansion_events{circuit=dk16.ji.sd.re}": 0,
-            "sim.faults_dropped{circuit=dk16.ji.sd.re}": 34,
-            "sim.pattern_batches{circuit=dk16.ji.sd.re}": 7295,
-            "sim.sequences{circuit=dk16.ji.sd.re}": 206,
-            "sim.words_packed{circuit=dk16.ji.sd.re}": 153195,
+            "sim.events": 28614,
+            "sim.faults_dropped": 34,
+            "sim.pattern_batches": 7295,
+            "sim.sequences": 206,
+            "sim.words_packed": 153195,
         },
         "2cc5ddcd06b3b96760e298ba44d8abb96982ef2ff097492fa4eb7b666aec3011",
     ),
@@ -403,12 +400,11 @@ SIMBASED_PINS = {
             "sim.expansion_events": 194825,
         },
         {
-            "sim.events{circuit=s510.jc.sd}": 39315,
-            "sim.expansion_events{circuit=s510.jc.sd}": 0,
-            "sim.faults_dropped{circuit=s510.jc.sd}": 32,
-            "sim.pattern_batches{circuit=s510.jc.sd}": 7475,
-            "sim.sequences{circuit=s510.jc.sd}": 209,
-            "sim.words_packed{circuit=s510.jc.sd}": 201825,
+            "sim.events": 39315,
+            "sim.faults_dropped": 32,
+            "sim.pattern_batches": 7475,
+            "sim.sequences": 209,
+            "sim.words_packed": 201825,
         },
         "55fee387de6407bc58700feccb54f1e932e995797929f82049cefdf7ee4ce3f2",
     ),
@@ -455,12 +451,11 @@ SIMBASED_PINS = {
             "sim.expansion_events": 200855,
         },
         {
-            "sim.events{circuit=s510.jc.sd.re}": 62934,
-            "sim.expansion_events{circuit=s510.jc.sd.re}": 0,
-            "sim.faults_dropped{circuit=s510.jc.sd.re}": 31,
-            "sim.pattern_batches{circuit=s510.jc.sd.re}": 11177,
-            "sim.sequences{circuit=s510.jc.sd.re}": 279,
-            "sim.words_packed{circuit=s510.jc.sd.re}": 413549,
+            "sim.events": 62934,
+            "sim.faults_dropped": 31,
+            "sim.pattern_batches": 11177,
+            "sim.sequences": 279,
+            "sim.words_packed": 413549,
         },
         "e9a7a78863e7ec617c8a44597443162ac76430676b2e3f0d0764d7733ec64c6b",
     ),
@@ -478,16 +473,10 @@ def test_simbased_pinned(name, side):
     )
     analysis = analyze_faults_cached(circuit, level=config.collapse_level)
     targets = select_target_faults(analysis, config)
-    obs = Observability()
-    result = SimBasedEngine(
-        circuit, budget=config.budget, rng_seed=23, obs=obs
-    ).run(targets)
+    engine = SimBasedEngine(circuit, budget=config.budget, rng_seed=23)
+    result = engine.run(targets)
     expanded = expand_result(result, analysis, circuit)
-    sim_counters = {
-        key: value
-        for key, value in obs.metrics.dump().items()
-        if key.startswith("sim.")
-    }
+    sim_counters = engine._simulator.counters()
     digest = hashlib.sha256(
         json.dumps(result.test_set.sequences).encode()
     ).hexdigest()

@@ -42,7 +42,7 @@ class TestRecordRoundTrip:
         assert restored == original
 
     def test_records_are_versioned(self):
-        assert json.loads(record().to_json())["v"] == 6
+        assert json.loads(record().to_json())["v"] == 7
 
     def test_unknown_fields_are_ignored(self):
         data = json.loads(record().to_json())
@@ -56,7 +56,6 @@ class TestRecordRoundTrip:
         torn ones so an old ledger resumes as if empty."""
         data = json.loads(record().to_json())
         data["v"] = 1
-        del data["metrics"]
         data["counters"] = {
             "original": {"backtracks": 7, "total_faults": 50},
         }
@@ -69,10 +68,12 @@ class TestRecordRoundTrip:
             TaskRecord.from_dict(data)
 
     def test_v5_row_with_perf_and_search_reserializes_as_v6(self):
-        """A v5 row's derived perf/search cores are dropped on load;
-        everything else survives, so the row re-serializes to exactly
-        the v6 row."""
+        """A v5 row's derived perf/search cores and a v5 or v6 row's
+        ``metrics`` registry dump are dropped on load; everything else
+        survives, so each row re-serializes to exactly the current
+        (v7) row."""
         current = json.loads(record().to_json())
+        metrics = {"atpg.backtracks{circuit=c,engine=hitec}": 7}
         v5 = dict(
             current,
             v=5,
@@ -81,11 +82,14 @@ class TestRecordRoundTrip:
                 "counters": {"original/atpg.backtracks": 7},
             },
             search={},
+            metrics=metrics,
         )
-        restored = TaskRecord.from_dict(v5)
-        assert restored == record()
-        assert restored.to_json() == record().to_json()
-        assert json.loads(restored.to_json()) == current
+        v6 = dict(current, v=6, metrics=metrics)
+        for old in (v5, v6):
+            restored = TaskRecord.from_dict(old)
+            assert restored == record()
+            assert restored.to_json() == record().to_json()
+            assert json.loads(restored.to_json()) == current
 
     def test_v5_lifecycle_round_trips(self):
         fault_record = {
@@ -108,13 +112,6 @@ class TestRecordRoundTrip:
         )
         restored = TaskRecord.from_dict(json.loads(original.to_json()))
         assert restored == original
-
-    def test_metrics_field_round_trips(self):
-        original = record(
-            metrics={"atpg.backtracks{engine=hitec}": 12}
-        )
-        restored = TaskRecord.from_dict(json.loads(original.to_json()))
-        assert restored.metrics == original.metrics
 
 
 class TestLoadRecords:

@@ -121,13 +121,6 @@ class TestEquivalence:
             assert counters["atpg.frames_expanded"] > 0
             assert counters["atpg.cpu_seconds"] > 0
 
-    def test_metrics_dump_recorded_per_task(self, reports):
-        _, _, serial_dir, _ = reports
-        rows = ledger_rows_modulo_wall_time(serial_dir)
-        metrics = rows["hitec:dk16.ji.sd"]["metrics"]
-        key = "atpg.backtracks{circuit=dk16.ji.sd,engine=hitec}"
-        assert metrics[key] > 0
-
     def test_lifecycle_cores_in_ledger_rows(self, reports):
         """Engine-pair cells persist the per-fault lifecycle core;
         non-ATPG cells carry none."""

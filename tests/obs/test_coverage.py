@@ -1,6 +1,7 @@
 """Fault-lifecycle & coverage observatory: observer, report, CLI."""
 
 import json
+import types
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.obs.coverage import (
 )
 from repro.atpg.result import FaultBook, Stopwatch, WorkClock
 from repro.obs.report import main as report_cli
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.search import SearchObserver, StateClassifier
 from repro.obs.trace import null_tracer
 
@@ -55,36 +55,31 @@ class TestObserver:
     one writer of lifecycle records."""
 
     @pytest.fixture
-    def registry(self):
-        return MetricsRegistry()
+    def simulator(self):
+        """Stands in for the fault simulator: the book reads only its
+        ``events`` count."""
+        return types.SimpleNamespace(events=0)
 
     @pytest.fixture
     def clock(self):
         return WorkClock()
 
     @pytest.fixture
-    def book(self, two_bit_counter, registry, clock):
+    def book(self, two_bit_counter, simulator, clock):
         faults = ("x1/0", "x1/1", "g3/1", "a/0", "b/1", "c/0")
         return FaultBook(
             faults,
             Stopwatch(60.0, clock=clock),
-            registry.counter("sim.events", engine="hitec", circuit="c"),
+            simulator,
             SearchObserver(StateClassifier(two_bit_counter)),
-            registry,
-            searches=True,
-            engine="hitec",
-            circuit="c",
         )
 
     def test_targeted_bracket_stores_sim_event_delta(
-        self, book, registry, clock
+        self, book, simulator, clock
     ):
-        sim_events = registry.counter(
-            "sim.events", engine="hitec", circuit="c"
-        )
-        sim_events.inc(100)
+        simulator.events += 100
         with book.target("x1/0", null_tracer()) as scope:
-            sim_events.inc(60)
+            simulator.events += 60
             clock.charge(5000)
         scope.close("detected", 7, 2, detected_by=3)
         (record,) = book.records()
@@ -154,49 +149,6 @@ class TestObserver:
         checkpoint = book.checkpoint()
         assert (checkpoint.detected, checkpoint.processed) == (2, 3)
         assert checkpoint.total == 6
-
-    def test_counters_feed_metrics_registry(self, book, registry):
-        book.detected("a/0", PROV_FAULT_DROP, 0)
-        with book.target("b/1", null_tracer()) as scope:
-            pass
-        scope.close("detected", 5, 2, detected_by=1)
-        book.abort("c/0", ABORT_BACKTRACK_LIMIT)
-        dump = registry.dump()
-        assert dump[
-            "lifecycle.detected_targeted{circuit=c,engine=hitec}"
-        ] == 1
-        assert dump[
-            "lifecycle.detected_incidental{circuit=c,engine=hitec}"
-        ] == 1
-        assert dump[
-            "lifecycle.aborted_backtrack_limit{circuit=c,engine=hitec}"
-        ] == 1
-        assert dump["atpg.faults_detected{circuit=c,engine=hitec}"] == 2
-        assert dump["atpg.faults_aborted{circuit=c,engine=hitec}"] == 1
-        assert dump["atpg.backtracks{circuit=c,engine=hitec}"] == 5
-        assert dump["atpg.frames_expanded{circuit=c,engine=hitec}"] == 2
-
-    def test_simulation_book_registers_no_search_effort(
-        self, two_bit_counter
-    ):
-        registry = MetricsRegistry()
-        FaultBook(
-            ("a/0",),
-            Stopwatch(1.0),
-            registry.counter("sim.events"),
-            SearchObserver(StateClassifier(two_bit_counter)),
-            registry,
-            searches=False,
-        )
-        names = {key.split("{")[0] for key in registry.dump()}
-        assert "atpg.faults_detected" in names
-        assert "search.fault_invalid_events" in names
-        assert not names & {
-            "atpg.faults_redundant",
-            "atpg.backtracks",
-            "atpg.frames_expanded",
-            "atpg.fault_backtracks",
-        }
 
 
 class TestCounterBlock:

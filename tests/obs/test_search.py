@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from repro.atpg.podem import SearchMeter
 from repro.atpg.result import FaultBook, Stopwatch
 from repro.circuit.gates import X
 from repro.errors import AnalysisError
-from repro.obs import MetricsRegistry, null_tracer
+from repro.obs import null_tracer
 from repro.obs.search import (
     SearchObserver,
     StateClassifier,
@@ -148,14 +149,11 @@ class TestObserver:
         # window arithmetic is what's under test.  The engines' fault
         # book owns the per-fault window.
         observer = SearchObserver(StateClassifier(toggle_circuit))
-        registry = MetricsRegistry()
         book = FaultBook(
             ("q/0", "q/1"),
             Stopwatch(1.0),
-            registry.counter("sim.events"),
+            types.SimpleNamespace(events=0),
             observer,
-            registry,
-            searches=True,
         )
         with book.target("q/0", null_tracer()) as scope:
             observer.observe_cube({0: 1})
@@ -166,25 +164,6 @@ class TestObserver:
         with book.target("q/1", null_tracer()) as scope:
             assert scope.dwell() == (0, 0)
         scope.close("redundant", 0, 1)
-        dwell = registry.dump()["search.fault_invalid_events"]
-        assert dwell["count"] == 2
-        assert dwell["sum"] == 0
-
-    def test_counters_feed_metrics_registry(self, two_bit_counter):
-        registry = MetricsRegistry()
-        observer = SearchObserver(
-            StateClassifier(two_bit_counter),
-            registry,
-            engine="hitec",
-            circuit=two_bit_counter.name,
-        )
-        observer.observe_cube({0: 1})
-        dump = registry.dump()
-        key = (
-            "search.states_examined"
-            f"{{circuit={two_bit_counter.name},engine=hitec}}"
-        )
-        assert dump[key] == 1
 
 
 class TestEngineWiring:

@@ -125,10 +125,9 @@ class TestNullPath:
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0
 
-    def test_default_observability_is_metrics_only(self):
+    def test_default_observability_traces_nothing(self):
         obs = Observability()
         assert obs.trace.enabled is False
-        assert obs.metrics.dump() == {}
         assert Observability.for_profile(False).trace.enabled is False
         assert Observability.for_profile(True).trace.enabled is True
 

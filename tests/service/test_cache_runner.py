@@ -161,8 +161,10 @@ class TestColdWarm:
 class TestStoredV5Rows:
     def test_v5_entry_replays_as_fresh_v6_row(self, tmp_path):
         """A store filled before v6 holds rows carrying the derived
-        perf/search cores; a cache hit replays them into the run ledger
-        as exactly the row a fresh v6 computation writes."""
+        perf/search cores, and one filled before v7 rows carrying a
+        ``metrics`` registry dump; a cache hit replays either into the
+        run ledger as exactly the row a fresh (v7) computation
+        writes."""
         from repro.harness.cache import ServiceSession
         from repro.harness.config import HarnessConfig
         from repro.harness.runner import TaskSpec, _record_for
@@ -191,14 +193,15 @@ class TestStoredV5Rows:
             task, config.fingerprint(), 0, config, "ok", 1.5,
             payload={
                 "counters": counters,
-                "metrics": {"atpg.backtracks{engine=hitec}": 18},
                 "lifecycle": {"original": [{"fault": "x/0"}]},
                 "tables": {"table2": [{"circuit": "dk16.ji.sd"}]},
             },
             rss_kb=4096,
         )
+        metrics = {"atpg.backtracks{circuit=dk16.ji.sd,engine=hitec}": 18}
+        v6 = dict(json.loads(fresh.to_json()), v=6, metrics=metrics)
         v5 = dict(
-            json.loads(fresh.to_json()),
+            v6,
             v=5,
             perf={
                 "schema": 1,
@@ -213,13 +216,16 @@ class TestStoredV5Rows:
                 "counters": {"original": {"search.invalid_events": 3}},
             },
         )
-        session = ServiceSession(config)
-        session.store.put(session.cell_key(task), v5)
+        for stored in (v5, v6):
+            session = ServiceSession(config)
+            session.store.put(session.cell_key(task), stored)
 
-        ledger_file = str(tmp_path / "ledger.jsonl")
-        assert session.serve_cached([task], ledger_file, lambda _: None) == []
-        assert session.hits.value == 1
-        assert read(ledger_file) == fresh.to_json() + "\n"
-        replayed = json.loads(read(ledger_file))
-        assert replayed["v"] == 6
-        assert "perf" not in replayed and "search" not in replayed
+            ledger_file = str(tmp_path / f"ledger-v{stored['v']}.jsonl")
+            assert session.serve_cached(
+                [task], ledger_file, lambda _: None
+            ) == []
+            assert session.hits == 1
+            assert read(ledger_file) == fresh.to_json() + "\n"
+            replayed = json.loads(read(ledger_file))
+            assert replayed["v"] == 7
+            assert not {"perf", "search", "metrics"} & set(replayed)

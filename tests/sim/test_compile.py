@@ -198,7 +198,6 @@ _HASHSEED_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
 from repro.harness.suite import synthesize_named
-from repro.obs import MetricsRegistry
 from repro.sim import ParallelSimulator, compiled_program_cached
 circuit = synthesize_named("dk16.ji.sd").circuit
 program = compiled_program_cached(circuit)
@@ -206,15 +205,14 @@ for op in program.plan:
     print(op)
 print(program.render_source(), end="")
 print(program.render_source(masked=True), end="")
-registry = MetricsRegistry()
-sim = ParallelSimulator(circuit, metrics=registry)
+sim = ParallelSimulator(circuit)
 mask = (1 << 8) - 1
 vectors = [[(i >> j) & 1 for j in range(len(circuit.inputs))]
            for i in range(6)]
 trace, final = sim.run(vectors, [0] * sim.num_dffs)
 print(trace)
 print(final)
-for key, value in sorted(registry.dump().items()):
+for key, value in sorted(sim.counters().items()):
     print(key, value)
 """
 

@@ -154,11 +154,7 @@ class TestCounterParity:
         for backend in ("compiled", "interpreted"):
             sim = FaultSimulator(two_bit_counter, backend=backend)
             reports[backend] = sim.run([[[1]] * 6, [[0], [1], [1]]])
-            counters[backend] = {
-                key: value
-                for key, value in sim.metrics.dump().items()
-                if key.startswith("sim.")
-            }
+            counters[backend] = sim.counters()
         assert counters["compiled"] == counters["interpreted"]
         assert (
             reports["compiled"].detected == reports["interpreted"].detected
