@@ -31,9 +31,9 @@ from .result import (
     TestSet,
     WorkClock,
 )
-from .hitec import HitecEngine, Justifier, run_hitec
-from .sest import SestEngine, run_sest
-from .simbased import SimBasedEngine, SimBasedOptions, run_simbased
+from .hitec import HitecEngine, Justifier
+from .sest import SestEngine
+from .simbased import SimBasedEngine, SimBasedOptions
 from .registry import ENGINES, EngineSpec, engine_names, get_engine
 
 
@@ -50,18 +50,6 @@ class AtpgEngine(Protocol):
 
     def run(self, faults: Optional[Sequence[Fault]] = None) -> AtpgResult:
         ...
-from .compaction import (
-    CompactionReport,
-    compact_greedy_cover,
-    compact_reverse_order,
-)
-from .random_patterns import (
-    RandomTestGenerator,
-    RtgOptions,
-    RtgPoint,
-    RtgReport,
-    random_pattern_coverage,
-)
 
 __all__ = [
     "AtpgEngine",
@@ -79,14 +67,6 @@ __all__ = [
     "LearningStats",
     "SearchMeter",
     "SestEngine",
-    "CompactionReport",
-    "compact_greedy_cover",
-    "compact_reverse_order",
-    "RandomTestGenerator",
-    "RtgOptions",
-    "RtgPoint",
-    "RtgReport",
-    "random_pattern_coverage",
     "SimBasedEngine",
     "SimBasedOptions",
     "Solution",
@@ -99,7 +79,4 @@ __all__ = [
     "cube_key",
     "engine_names",
     "get_engine",
-    "run_hitec",
-    "run_sest",
-    "run_simbased",
 ]

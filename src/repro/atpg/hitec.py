@@ -551,15 +551,3 @@ class HitecEngine:
             ]
             sequence.append(vector)
         return sequence
-
-
-def run_hitec(
-    circuit: Circuit,
-    budget: Optional[EffortBudget] = None,
-    faults: Optional[Sequence[Fault]] = None,
-    obs: Optional[Observability] = None,
-) -> AtpgResult:
-    """Convenience one-call HITEC run (thin wrapper over the registry)."""
-    from .registry import get_engine
-
-    return get_engine("hitec", circuit, budget=budget, obs=obs).run(faults)

@@ -24,13 +24,12 @@ examined cubes and a nonzero prune count relative to plain HITEC.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..circuit.netlist import Circuit
-from ..fault.model import Fault
 from ..obs import Observability
 from .hitec import HitecEngine
-from .result import AtpgResult, EffortBudget
+from .result import EffortBudget
 
 
 class SestEngine(HitecEngine):
@@ -52,15 +51,3 @@ class SestEngine(HitecEngine):
     def learning_stats(self):
         """Cache counters for the learning ablation."""
         return self.learning_cache.stats if self.learning_cache else None
-
-
-def run_sest(
-    circuit: Circuit,
-    budget: Optional[EffortBudget] = None,
-    faults: Optional[Sequence[Fault]] = None,
-    obs: Optional[Observability] = None,
-) -> AtpgResult:
-    """Convenience one-call SEST run (thin wrapper over the registry)."""
-    from .registry import get_engine
-
-    return get_engine("sest", circuit, budget=budget, obs=obs).run(faults)

@@ -239,18 +239,3 @@ class SimBasedEngine:
                 break
             length = candidate
         return [list(v) for v in record.sequence[:length]]
-
-
-def run_simbased(
-    circuit: Circuit,
-    budget: Optional[EffortBudget] = None,
-    faults: Optional[Sequence[Fault]] = None,
-    options: Optional[SimBasedOptions] = None,
-    obs: Optional[Observability] = None,
-) -> AtpgResult:
-    """Convenience one-call simulation-based run (registry wrapper)."""
-    from .registry import get_engine
-
-    return get_engine(
-        "simbased", circuit, budget=budget, options=options, obs=obs
-    ).run(faults)

@@ -8,7 +8,6 @@ Public surface:
 * graph traversals (:func:`topological_order`, :func:`levelize`,
   cones, register adjacency).
 * BLIF interchange (:func:`read_blif`, :func:`write_blif`).
-* lint diagnostics (:func:`lint`, :func:`assert_clean`).
 """
 
 from .gates import (
@@ -40,15 +39,12 @@ from .graph import (
     transitive_fanout,
 )
 from .blif import load_blif, read_blif, save_blif, write_blif
-from .verilog import save_verilog, write_verilog
 from .transform import cleanup, collapse_buffers, propagate_constants
-from .validate import LintIssue, assert_clean, lint
 
 __all__ = [
     "Circuit",
     "CircuitBuilder",
     "GateType",
-    "LintIssue",
     "Node",
     "NodeKind",
     "ZERO",
@@ -56,7 +52,6 @@ __all__ = [
     "X",
     "D",
     "DBAR",
-    "assert_clean",
     "char_to_ternary",
     "combinational_outputs",
     "dead_nodes",
@@ -66,7 +61,6 @@ __all__ = [
     "five_join",
     "five_split",
     "levelize",
-    "lint",
     "load_blif",
     "pi_to_dff_edges",
     "read_blif",
@@ -78,8 +72,6 @@ __all__ = [
     "transitive_fanin",
     "transitive_fanout",
     "write_blif",
-    "write_verilog",
-    "save_verilog",
     "cleanup",
     "collapse_buffers",
     "propagate_constants",

@@ -137,10 +137,6 @@ class FaultSimulator:
         self.events = 0
         self.faults_dropped = 0
         self.sequences = 0
-        # Machine-steps spent expanding collapsed fault lists back over
-        # the full universe (run_analyzed); kept out of ``events`` so
-        # engine search effort stays comparable across collapse levels.
-        self.expansion_events = 0
         if faults is None:
             faults = collapse_faults(circuit).representatives
         self.faults: List[Fault] = list(faults)
@@ -281,9 +277,9 @@ class FaultSimulator:
         simulates the dominance-dropped class representatives (their
         detection cannot be inferred from the kept witnesses — see
         :mod:`repro.fault.analysis.dominance`), and expands both over
-        the full fault universe.  The dropped-class pass is charged to
-        ``expansion_events`` instead of ``events``.  Untestable
-        classes are reported undetected (they are, provably).
+        the full fault universe.  Both passes are charged to the
+        counters like any :meth:`run`.  Untestable classes are reported
+        undetected (they are, provably).
         """
         rep_report = self.run(
             sequences, faults=analysis.representatives, drop=drop
@@ -295,14 +291,7 @@ class FaultSimulator:
             if rep in analysis.dominated
         ]
         if dropped and sequences:
-            events = self.events
-            try:
-                dropped_report = self.run(
-                    sequences, faults=dropped, drop=drop
-                )
-            finally:
-                self.expansion_events += self.events - events
-                self.events = events
+            dropped_report = self.run(sequences, faults=dropped, drop=drop)
             detected_by_rep.update(dropped_report.detected)
         detected, undetected = analysis.expand_detected(detected_by_rep)
         return FaultSimReport(

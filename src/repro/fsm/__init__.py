@@ -2,8 +2,7 @@
 benchmark suite, state minimization and state assignment."""
 
 from .machine import Fsm, Transition
-from .kiss import load_kiss, read_kiss, save_kiss, write_kiss
-from .dot import save_dot, write_dot
+from .kiss import read_kiss, write_kiss
 from .generate import GeneratorSpec, generate_fsm, generate_minimal_fsm
 from .benchmarks import (
     PAPER_FSMS,
@@ -29,12 +28,8 @@ __all__ = [
     "encode_fsm",
     "generate_fsm",
     "generate_minimal_fsm",
-    "load_kiss",
     "minimize_fsm",
     "read_kiss",
-    "save_kiss",
     "table1_rows",
     "write_kiss",
-    "write_dot",
-    "save_dot",
 ]

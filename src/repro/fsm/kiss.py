@@ -131,19 +131,6 @@ def write_kiss(fsm: Fsm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_kiss(path: str, name: Optional[str] = None) -> Fsm:
-    with open(path) as f:
-        text = f.read()
-    if name is None:
-        name = path.rsplit("/", 1)[-1].split(".", 1)[0]
-    return read_kiss(text, name=name)
-
-
-def save_kiss(fsm: Fsm, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(write_kiss(fsm))
-
-
 def _int_directive(tokens: List[str], lineno: int) -> int:
     if len(tokens) != 2:
         raise ParseError(

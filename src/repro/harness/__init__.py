@@ -37,12 +37,7 @@ from . import (
 from .experiment import run_all
 from .ledger import TaskRecord, load_records
 from .reporting import Reporter
-from .report import (
-    assemble_report,
-    curves_to_markdown,
-    preformatted,
-    table_to_markdown,
-)
+from .report import assemble_report
 from .runner import RunResult, TaskSpec, build_task_graph, run_experiment
 
 __all__ = [
@@ -79,7 +74,4 @@ __all__ = [
     "table6",
     "table7",
     "table8",
-    "table_to_markdown",
-    "curves_to_markdown",
-    "preformatted",
 ]

@@ -1,20 +1,17 @@
-"""Report rendering: markdown tables and ledger-row assembly.
+"""Report assembly from run-ledger rows.
 
-`EXPERIMENTS.md` and downstream writeups embed harness results; this
-module converts :class:`~repro.harness.tables.Table` objects (and
-Figure 3 curve sets) into GitHub-flavored markdown.
-
-It also assembles the combined experiment report *from run-ledger
-rows* (:func:`assemble_report`): the runner executes cells in any
-order, on any number of workers, and this module reconstructs the
-canonical Tables 1-8 + Figure 3 + DRC-summary report from whatever the
-ledger recorded.  Quarantined cells become ``[aborted]`` placeholder
+:func:`assemble_report` builds the combined experiment report *from
+run-ledger rows*: the runner executes cells in any order, on any
+number of workers, and this module reconstructs the canonical Tables
+1-8 + Figure 3 + DRC-summary report from whatever the ledger recorded.
+Each section renders through its own ``Table.render`` or
+``figure3.render``.  Quarantined cells become ``[aborted]`` placeholder
 rows instead of exceptions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import dataclasses
 
@@ -27,52 +24,6 @@ from ..obs.search import render_waste_attribution, waste_rows_from_ledger_rows
 from . import ledger as ledger_mod
 from .figure3 import Curve
 from .ledger import TaskRecord
-from .tables import Table
-
-
-def table_to_markdown(table: Table) -> str:
-    """Render a table as a GFM pipe table (title as a bold caption)."""
-    headers = [column.title for column in table.columns]
-    lines = [f"**{table.title}**", ""]
-    lines.append("| " + " | ".join(headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in table.rows:
-        cells = [column.render(row) for column in table.columns]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def curves_to_markdown(curves: Sequence[Curve]) -> str:
-    """Render Figure 3 curves as a markdown table of CPU-to-FE marks."""
-    levels = (50.0, 75.0, 90.0, 95.0)
-    headers = ["circuit", "density"] + [
-        f"cpu@{int(level)}%" for level in levels
-    ] + ["final FE", "invalid frac"]
-    lines = [
-        "**Figure 3: ATPG performance as a function of density of "
-        "encoding**",
-        "",
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for curve in sorted(curves, key=lambda c: -c.density_of_encoding):
-        cells = [curve.circuit_name, f"{curve.density_of_encoding:.2e}"]
-        for level in levels:
-            cpu = curve.cpu_to_reach(level)
-            cells.append(f"{cpu:.1f}s" if cpu is not None else "—")
-        cells.append(f"{curve.final_efficiency():.1f}%")
-        cells.append(
-            f"{curve.invalid_fraction:.4f}"
-            if curve.invalid_fraction is not None
-            else "—"
-        )
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def preformatted(text: str) -> str:
-    """Wrap raw harness output in a fenced code block."""
-    return "```text\n" + text.rstrip("\n") + "\n```"
 
 
 #: Prefix of the one report line carrying wall-clock time.

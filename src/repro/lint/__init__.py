@@ -7,8 +7,8 @@ This package catches those defects before any test-generation CPU is
 spent:
 
 * a **rule registry** (:data:`REGISTRY`) of analyses with stable IDs —
-  ``DRC001``-``DRC005`` ported from ``repro.circuit.validate``,
-  ``DRC101``-``DRC108`` new structural screens (combinational cycles,
+  ``DRC001``-``DRC005`` basic netlist sanity checks,
+  ``DRC101``-``DRC110`` structural screens (combinational cycles,
   constant nets, stuck registers, retiming-unsafe inits, SCOAP
   saturation, encoding-density red flags, depth/fanout budgets);
 * structured :class:`Diagnostic` objects with severity

@@ -2,8 +2,8 @@
 
 The analyzer is a registry of small pure functions over
 :class:`repro.circuit.netlist.Circuit`.  Each rule owns a stable ID
-(``DRC0xx`` for the checks ported from ``circuit.validate``, ``DRC1xx``
-for the new structural analyses), a default severity, and a category;
+(``DRC0xx`` for the basic netlist sanity checks, ``DRC1xx`` for the
+structural analyses), a default severity, and a category;
 a :class:`LintConfig` can disable rules or override their severity
 without touching the rule code.  Running the registry yields a
 :class:`LintReport` of :class:`Diagnostic` objects which the reporters
@@ -27,7 +27,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -91,7 +90,7 @@ class Rule:
     category: str
     description: str
     check: CheckFunction
-    legacy: bool = False  # ported from circuit.validate
+    legacy: bool = False  # DRC001-DRC005; --list-rules prints [ported]
     retiming_invariant: bool = False  # diagnostics stable under retiming
 
 
@@ -122,9 +121,6 @@ class RuleRegistry:
     def rules(self) -> List[Rule]:
         """All rules, sorted by ID (stable run order)."""
         return [self._rules[k] for k in sorted(self._rules)]
-
-    def legacy_rules(self) -> List[Rule]:
-        return [r for r in self.rules() if r.legacy]
 
 
 #: The process-wide registry that :mod:`repro.lint.rules` populates.
@@ -350,16 +346,14 @@ def run_lint(
     circuit: Circuit,
     config: Optional[LintConfig] = None,
     registry: Optional[RuleRegistry] = None,
-    rules: Optional[Sequence[Rule]] = None,
     obs: Optional[Observability] = None,
 ) -> LintReport:
     """Run every enabled rule over ``circuit`` and collect diagnostics.
 
-    ``rules`` restricts the run to an explicit list (the back-compat
-    shim uses this for the legacy subset); otherwise every enabled rule
-    of the registry runs in ID order.  A crashing rule is reported as an
-    error-severity diagnostic rather than aborting the run — broken
-    circuits are exactly what the analyzer must survive.
+    Every rule of the registry that ``config`` enables runs in ID order.
+    A crashing rule is reported as an error-severity diagnostic rather
+    than aborting the run — broken circuits are exactly what the
+    analyzer must survive.
 
     ``obs`` receives one ``lint.rule`` trace span per rule (wall timing
     as span metadata).
@@ -369,15 +363,14 @@ def run_lint(
     config = config or LintConfig()
     registry = registry or REGISTRY
     obs = obs if obs is not None else Observability()
-    selected = list(rules) if rules is not None else registry.rules()
     context = LintContext(circuit, config)
     diagnostics: List[Diagnostic] = []
     ran: List[str] = []
     rule_seconds: Dict[str, float] = {}
     start = time.perf_counter()
 
-    for rule_entry in selected:
-        if rules is None and not config.is_enabled(rule_entry):
+    for rule_entry in registry.rules():
+        if not config.is_enabled(rule_entry):
             continue
         ran.append(rule_entry.rule_id)
         severity = config.effective_severity(rule_entry)

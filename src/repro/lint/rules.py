@@ -1,9 +1,10 @@
 """The built-in DRC rules.
 
-``DRC001``-``DRC005`` are the checks ported from the original
-``repro.circuit.validate`` module (which remains as a thin shim over
-this registry).  ``DRC101``-``DRC110`` are the new structural analyses;
-each exploits an existing substrate (graph traversals, ternary
+``DRC001``-``DRC005`` are the basic netlist sanity checks (structural
+integrity, dead nodes, unknown power-up, missing outputs, disconnected
+inputs); they carry ``legacy=True`` and ``--list-rules`` marks them
+``[ported]``.  ``DRC101``-``DRC110`` are the structural analyses; each
+exploits an existing substrate (graph traversals, ternary
 simulation semantics, SCOAP, levelization) to catch — *before* any ATPG
 CPU is spent — the netlist pathologies the paper shows structural test
 generators drown in: uninitializable or redundant state, unobservable
@@ -84,7 +85,7 @@ def _levels(context: LintContext) -> Optional[Dict[str, int]]:
 
 
 # --------------------------------------------------------------------------
-# DRC001-DRC005: ported from circuit.validate.
+# DRC001-DRC005: basic netlist sanity checks.
 # --------------------------------------------------------------------------
 
 

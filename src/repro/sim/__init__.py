@@ -10,7 +10,7 @@ from .compile import (
     pack_ternary_patterns,
     unpack_ternary_word,
 )
-from .logicsim import SimTrace, TernarySimulator, values_by_name
+from .logicsim import SimTrace, TernarySimulator
 from .parallel import (
     WORD_BITS,
     BoundStepper,
@@ -34,5 +34,4 @@ __all__ = [
     "pack_ternary_patterns",
     "unpack_ternary_word",
     "unpack_word",
-    "values_by_name",
 ]

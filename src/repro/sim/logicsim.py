@@ -15,7 +15,7 @@ simulator and the state-traversal analyses call it millions of times.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuit.gates import X, eval_gate
 from ..circuit.graph import topological_order
@@ -164,12 +164,3 @@ class TernarySimulator:
         """Successor states of ``state`` under each vector (used by the
         explicit-state reachability cross-check)."""
         return [self.step(v, state)[1] for v in pi_vectors]
-
-
-def values_by_name(
-    simulator: TernarySimulator, values: Sequence[int]
-) -> Mapping[str, int]:
-    """Render a compiled value array as a name->value dict (debug aid)."""
-    return {
-        name: values[simulator._index[name]] for name in simulator._order
-    }

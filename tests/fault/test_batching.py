@@ -42,25 +42,16 @@ def _report_core(report):
     )
 
 
-def _effort(simulator):
-    """Every count the simulator keeps: its ``counters()`` and the
-    expansion events ``run_analyzed`` charges apart."""
-    return dict(
-        simulator.counters(),
-        **{"sim.expansion_events": simulator.expansion_events},
-    )
-
-
 def _run_at_bounds(make_simulator, call):
     """``call(simulator)`` at every lane bound; returns the report cores
-    with each run's full effort counts."""
+    with each run's counters."""
     results = []
     for bound in BOUNDS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator_module, "LANE_BOUND", bound)
             simulator = make_simulator()
             core = _report_core(call(simulator))
-        results.append((core, _effort(simulator)))
+        results.append((core, simulator.counters()))
     return results
 
 
@@ -74,7 +65,7 @@ class TestRunInvariance:
         assert len(oracle.faults) > 63
         expected = (
             _report_core(reference_run(oracle, sequences, drop=drop)),
-            _effort(oracle),
+            oracle.counters(),
         )
         results = _run_at_bounds(
             lambda: FaultSimulator(circuit),
@@ -117,7 +108,7 @@ class TestSchedulingKnobs:
         lanes.run(sequences)
         oracle = FaultSimulator(circuit)
         reference_run(oracle, sequences)
-        assert _effort(lanes) == _effort(oracle)
+        assert lanes.counters() == oracle.counters()
 
 
 class TestSingleFaultStepperCache:

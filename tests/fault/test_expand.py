@@ -123,17 +123,26 @@ class TestRunAnalyzedExplicit:
         )
         assert report.detected[dropped] == 0
 
-    def test_expansion_events_charged_separately(self):
+    def test_dropped_pass_charged_to_events(self):
         circuit = self._chain()
         analysis = analyze_faults(circuit, level=LEVEL_FULL)
         sequences = [[[ONE, ONE, ONE]]]
+        dropped = [
+            rep
+            for rep in analysis.equiv_representatives
+            if rep in analysis.dominated
+        ]
+        assert dropped
         simulator = FaultSimulator(circuit)
         simulator.run_analyzed(sequences, analysis)
-        assert simulator.expansion_events > 0
-        # sim.events holds only the representatives' pass.
-        plain = FaultSimulator(circuit)
-        plain.run(sequences, faults=analysis.representatives)
-        assert simulator.events == plain.events
+        # sim.events holds the representatives' pass plus the
+        # dominance-dropped representatives' pass.
+        reps = FaultSimulator(circuit)
+        reps.run(sequences, faults=analysis.representatives)
+        dropped_pass = FaultSimulator(circuit)
+        dropped_pass.run(sequences, faults=dropped)
+        assert dropped_pass.events > 0
+        assert simulator.events == reps.events + dropped_pass.events
 
 
 class TestExpandResult:

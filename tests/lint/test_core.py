@@ -39,7 +39,7 @@ class TestRegistry:
             assert expected in REGISTRY
 
     def test_legacy_subset(self):
-        legacy = [r.rule_id for r in REGISTRY.legacy_rules()]
+        legacy = [r.rule_id for r in REGISTRY.rules() if r.legacy]
         assert legacy == ["DRC001", "DRC002", "DRC003", "DRC004", "DRC005"]
 
     def test_descriptions_and_categories_populated(self):

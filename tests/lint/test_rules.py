@@ -31,11 +31,11 @@ class TestDRC001StructuralIntegrity:
 class TestDRC002DeadNode:
     def test_dead_gate_and_input(self):
         builder = CircuitBuilder("dead")
-        a, b = builder.inputs("a", "b")
+        a, b, c = builder.inputs("a", "b", "c")  # c has no fanout at all
         builder.not_(b, name="unused")
         builder.output(builder.not_(a, name="out"))
         hits = findings(builder.build(), "DRC002")
-        assert {d.subject for d in hits} == {"b", "unused"}
+        assert {d.subject for d in hits} == {"b", "c", "unused"}
 
     def test_po_cone_is_live(self, half_adder):
         assert not findings(half_adder, "DRC002")
