@@ -55,7 +55,7 @@ from ..errors import AtpgError
 from ..fault.collapse import collapse_faults
 from ..fault.model import Fault
 from ..fault.simulator import FaultSimulator
-from ..obs import Observability
+from ..obs import Tracer
 from ..obs.coverage import (
     ABORT_FRAME_LIMIT,
     ABORT_TIME_BUDGET,
@@ -111,13 +111,13 @@ class Justifier:
         states_seen: Set[State],
         observer: SearchObserver,
         fill_seed: int = 31,
-        trace=None,
+        tracer: Optional[Tracer] = None,
     ):
         self.circuit = circuit
         self.budget = budget
         self.learning = learning
         self.states_seen = states_seen
-        self._trace = trace
+        self._tracer = tracer if tracer is not None else Tracer()
         # Search-state observatory hook: every cube the DFS examines is
         # streamed here for valid/invalid classification.
         self.observer = observer
@@ -183,9 +183,7 @@ class Justifier:
         ``exhaustive`` tells whether that failure is a *proof* (no budget
         was hit anywhere in the subtree).
         """
-        if self._trace is None or not self._trace.enabled:
-            return self._dfs(cube, depth=0, meter=meter, path=[])
-        with self._trace.span("atpg.justify", bits=len(cube)):
+        with self._tracer.span("atpg.justify", bits=len(cube)):
             return self._dfs(cube, depth=0, meter=meter, path=[])
 
     def _dfs(
@@ -307,7 +305,7 @@ class HitecEngine:
         budget: Optional[EffortBudget] = None,
         learning: bool = False,
         rng_seed: int = 17,
-        obs: Optional[Observability] = None,
+        tracer: Optional[Tracer] = None,
         sim_backend: str = "compiled",
     ):
         circuit.check()
@@ -320,7 +318,7 @@ class HitecEngine:
         self.budget = budget or EffortBudget.paper()
         if learning:
             self.name = "sest"
-        self.obs = obs if obs is not None else Observability()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.learning_cache = IllegalStateCache() if learning else None
         self._rng = make_rng(rng_seed)
         self._simulator = FaultSimulator(circuit, backend=sim_backend)
@@ -338,22 +336,22 @@ class HitecEngine:
         """Generate tests for every fault (collapsed list by default)."""
         if faults is None:
             faults = collapse_faults(self.circuit).representatives
-        trace = self.obs.trace
+        tracer = self.tracer
         clock = WorkClock() if self.budget.deterministic_clock else None
-        trace.use_clock(clock)
+        tracer.use_clock(clock)
         try:
-            with trace.span(
+            with tracer.span(
                 "atpg.run", engine=self.name, circuit=self.circuit.name
             ):
-                return self._run(faults, clock, trace)
+                return self._run(faults, clock, tracer)
         finally:
-            trace.use_clock(None)
+            tracer.use_clock(None)
 
     def _run(
         self,
         faults: Sequence[Fault],
         clock: Optional[WorkClock],
-        trace,
+        tracer: Tracer,
     ) -> AtpgResult:
         test_set = TestSet()
         states_seen: Set[State] = set()
@@ -364,7 +362,7 @@ class HitecEngine:
             self.learning_cache,
             states_seen,
             observer,
-            trace=trace,
+            tracer=tracer,
         )
         total_watch = Stopwatch(self.budget.total_seconds, clock=clock)
         book = FaultBook(faults, total_watch, self._simulator, observer)
@@ -373,7 +371,7 @@ class HitecEngine:
         # Phase 0: random test generation.  Detects the easy faults at
         # fault-simulation cost and seeds the justifier's known-state
         # database with every state the kept sequences drive through.
-        with trace.span("atpg.random_phase"):
+        with tracer.span("atpg.random_phase"):
             self._random_phase(
                 book, test_set, justifier, states_seen, total_watch
             )
@@ -385,7 +383,7 @@ class HitecEngine:
             if total_watch.expired():
                 book.abort(fault, ABORT_TIME_BUDGET)
                 continue
-            with book.target(fault, trace) as scope:
+            with book.target(fault, tracer) as scope:
                 outcome = self._process_fault(fault, justifier, total_watch)
             detected_by = None
             if outcome.state == "detected":
@@ -394,7 +392,7 @@ class HitecEngine:
                 justifier.remember_trace(self._good_sim, outcome.sequence)
                 # Fault dropping: run the new sequence over open faults.
                 total_watch.charge(_COST_SEQUENCE_SIM)
-                with trace.span("sim.fault_drop"):
+                with tracer.span("sim.fault_drop"):
                     report = self._simulator.run(
                         [outcome.sequence], faults=book.open_faults()
                     )

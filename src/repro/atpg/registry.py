@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 from ..errors import AtpgError
-from ..obs import Observability
+from ..obs import Tracer
 from .hitec import HitecEngine
 from .result import EffortBudget
 from .sest import SestEngine
@@ -27,22 +27,26 @@ class EngineSpec:
     """One registered engine family."""
 
     name: str
-    factory: Callable[..., object]  # (circuit, *, budget, obs[, options])
+    factory: Callable[..., object]  # (circuit, *, budget, tracer[, options])
     description: str
     takes_options: bool = False  # accepts a SimBasedOptions-style object
     aliases: Tuple[str, ...] = ()
 
 
-def _make_hitec(circuit: Circuit, *, budget=None, obs=None):
-    return HitecEngine(circuit, budget=budget, obs=obs)
+def _make_hitec(circuit: Circuit, *, budget=None, tracer=None):
+    return HitecEngine(circuit, budget=budget, tracer=tracer)
 
 
-def _make_sest(circuit: Circuit, *, budget=None, obs=None):
-    return SestEngine(circuit, budget=budget, obs=obs)
+def _make_sest(circuit: Circuit, *, budget=None, tracer=None):
+    return SestEngine(circuit, budget=budget, tracer=tracer)
 
 
-def _make_simbased(circuit: Circuit, *, budget=None, obs=None, options=None):
-    return SimBasedEngine(circuit, budget=budget, options=options, obs=obs)
+def _make_simbased(
+    circuit: Circuit, *, budget=None, tracer=None, options=None
+):
+    return SimBasedEngine(
+        circuit, budget=budget, options=options, tracer=tracer
+    )
 
 
 ENGINES: Dict[str, EngineSpec] = {}
@@ -103,7 +107,7 @@ def get_engine(
     *,
     budget: Optional[EffortBudget] = None,
     options: Optional[SimBasedOptions] = None,
-    obs: Optional[Observability] = None,
+    tracer: Optional[Tracer] = None,
 ):
     """Construct the named engine (implements the AtpgEngine protocol).
 
@@ -120,5 +124,7 @@ def get_engine(
             f"engine {spec.name!r} does not take an options object"
         )
     if spec.takes_options:
-        return spec.factory(circuit, budget=budget, obs=obs, options=options)
-    return spec.factory(circuit, budget=budget, obs=obs)
+        return spec.factory(
+            circuit, budget=budget, tracer=tracer, options=options
+        )
+    return spec.factory(circuit, budget=budget, tracer=tracer)

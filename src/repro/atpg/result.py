@@ -25,7 +25,6 @@ from collections import Counter as Tally
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..fault.model import CoverageSummary, Fault, FaultStatus, summarize
-from ..obs import annotate
 from ..obs.coverage import PROV_TARGETED
 from ..obs.coverage.report import lifecycle_counter_block
 from ..obs.search import SearchObserver
@@ -392,7 +391,7 @@ class FaultBook:
         self._close(fault, "aborted", PROV_TARGETED, abort_reason=reason)
 
     @contextlib.contextmanager
-    def target(self, fault: Fault, trace) -> Iterator["FaultScope"]:
+    def target(self, fault: Fault, tracer) -> Iterator["FaultScope"]:
         """Search scope of one targeted fault: an ``atpg.fault`` span
         annotated with the scope's valid/invalid examine events.  The
         returned scope stays pending — its fault neither open nor
@@ -400,10 +399,10 @@ class FaultBook:
         can fault-drop first and still precede the faults it dropped.
         """
         scope = FaultScope(self, fault)
-        with trace.span("atpg.fault", fault=str(fault)) as span:
+        with tracer.span("atpg.fault", fault=str(fault)) as span:
             yield scope
             valid, invalid = scope.dwell()
-            annotate(span, search_valid=valid, search_invalid=invalid)
+            span.annotate(search_valid=valid, search_invalid=invalid)
 
     def _close(
         self,

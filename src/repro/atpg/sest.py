@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..circuit.netlist import Circuit
-from ..obs import Observability
+from ..obs import Tracer
 from .hitec import HitecEngine
 from .result import EffortBudget
 
@@ -40,10 +40,14 @@ class SestEngine(HitecEngine):
         circuit: Circuit,
         budget: Optional[EffortBudget] = None,
         rng_seed: int = 29,
-        obs: Optional[Observability] = None,
+        tracer: Optional[Tracer] = None,
     ):
         super().__init__(
-            circuit, budget=budget, learning=True, rng_seed=rng_seed, obs=obs
+            circuit,
+            budget=budget,
+            learning=True,
+            rng_seed=rng_seed,
+            tracer=tracer,
         )
         self.name = "sest"
 

@@ -35,7 +35,7 @@ from ..errors import AtpgError
 from ..fault.collapse import collapse_faults
 from ..fault.model import Fault
 from ..fault.simulator import FaultSimulator
-from ..obs import Observability
+from ..obs import Tracer
 from ..obs.coverage import ABORT_STALL, ABORT_TIME_BUDGET, PROV_BREEDING
 from ..obs.search import SearchObserver, StateClassifier
 from .._util import make_rng, random_bits
@@ -73,7 +73,7 @@ class SimBasedEngine:
         budget: Optional[EffortBudget] = None,
         options: Optional[SimBasedOptions] = None,
         rng_seed: int = 23,
-        obs: Optional[Observability] = None,
+        tracer: Optional[Tracer] = None,
     ):
         circuit.check()
         if any(dff.init == X for dff in circuit.dffs()):
@@ -84,7 +84,7 @@ class SimBasedEngine:
         self.circuit = circuit
         self.budget = budget or EffortBudget.paper()
         self.options = options or SimBasedOptions()
-        self.obs = obs if obs is not None else Observability()
+        self.tracer = tracer if tracer is not None else Tracer()
         self._rng = make_rng(rng_seed)
         self._simulator = FaultSimulator(
             circuit, backend=self.options.sim_backend
@@ -100,22 +100,22 @@ class SimBasedEngine:
     def run(self, faults: Optional[Sequence[Fault]] = None) -> AtpgResult:
         if faults is None:
             faults = collapse_faults(self.circuit).representatives
-        trace = self.obs.trace
+        tracer = self.tracer
         clock = WorkClock() if self.budget.deterministic_clock else None
-        trace.use_clock(clock)
+        tracer.use_clock(clock)
         try:
-            with trace.span(
+            with tracer.span(
                 "atpg.run", engine=self.name, circuit=self.circuit.name
             ):
-                return self._run(faults, clock, trace)
+                return self._run(faults, clock, tracer)
         finally:
-            trace.use_clock(None)
+            tracer.use_clock(None)
 
     def _run(
         self,
         faults: Sequence[Fault],
         clock,
-        trace,
+        tracer: Tracer,
     ) -> AtpgResult:
         test_set = TestSet()
         checkpoints: List[Checkpoint] = []
@@ -135,7 +135,7 @@ class SimBasedEngine:
             and not watch.expired()
         ):
             rounds += 1
-            with trace.span("atpg.round", index=rounds):
+            with tracer.span("atpg.round", index=rounds):
                 batch = self._next_batch(elite)
                 # One lane pass for the whole batch against the round's
                 # open faults; each sequence is then read (and charged)

@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ...circuit.netlist import Circuit
 from ...errors import FaultError
-from ...obs import Observability
+from ...obs import Tracer
 from ..collapse import CollapseReport, collapse_faults
 from ..model import Fault, full_fault_list
 from .dominance import checkpoint_nodes, dominance_drops, fanout_free_regions
@@ -133,15 +133,15 @@ class FaultAnalysis:
 def analyze_faults(
     circuit: Circuit,
     level: str = LEVEL_FULL,
-    obs: Optional[Observability] = None,
+    tracer: Optional[Tracer] = None,
 ) -> FaultAnalysis:
     """Run the full static pipeline over one circuit."""
     if level not in LEVELS:
         raise FaultError(
             f"unknown collapse level {level!r}; expected one of {LEVELS}"
         )
-    obs = obs if obs is not None else Observability()
-    with obs.trace.span(
+    tracer = tracer if tracer is not None else Tracer()
+    with tracer.span(
         "collapse.analyze", circuit=circuit.name, level=level
     ):
         equiv: CollapseReport = collapse_faults(circuit)
@@ -190,7 +190,7 @@ _CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[str, FaultAnalysis]]" = (
 def analyze_faults_cached(
     circuit: Circuit,
     level: str = LEVEL_FULL,
-    obs: Optional[Observability] = None,
+    tracer: Optional[Tracer] = None,
 ) -> FaultAnalysis:
     """Suite-level memoized :func:`analyze_faults`.
 
@@ -201,16 +201,15 @@ def analyze_faults_cached(
     processes have cold caches), and per-task traces must be
     byte-identical at every ``--jobs`` level.
     """
+    tracer = tracer if tracer is not None else Tracer()
     per_circuit = _CACHE.get(circuit)
     if per_circuit is not None and level in per_circuit:
-        analysis = per_circuit[level]
-        if obs is not None:
-            with obs.trace.span(
-                "collapse.analyze", circuit=circuit.name, level=level
-            ):
-                pass
-        return analysis
-    analysis = analyze_faults(circuit, level=level, obs=obs)
+        with tracer.span(
+            "collapse.analyze", circuit=circuit.name, level=level
+        ):
+            pass
+        return per_circuit[level]
+    analysis = analyze_faults(circuit, level=level, tracer=tracer)
     if per_circuit is None:
         per_circuit = {}
         _CACHE[circuit] = per_circuit

@@ -22,7 +22,7 @@ from ..atpg.result import AtpgResult
 from ..circuit.netlist import Circuit
 from ..fault.analysis import analyze_faults_cached, expand_result
 from ..lint import LintConfig, Severity, gate_circuit
-from ..obs import Observability
+from ..obs import Tracer
 from .config import HarnessConfig, select_target_faults
 from .suite import CircuitPair, build_pair
 from .tables import Column, Table, pct, ratio
@@ -52,7 +52,7 @@ def run_engine_on_circuit(
     circuit: Circuit,
     engine: str,
     config: HarnessConfig,
-    obs: Optional[Observability] = None,
+    tracer: Optional[Tracer] = None,
 ) -> AtpgResult:
     """One engine × circuit run with the config's fault sampling.
 
@@ -76,13 +76,13 @@ def run_engine_on_circuit(
         mode=config.lint_mode,
         stage=f"pre-atpg:{circuit.name}",
         config=LintConfig(fail_on=Severity.parse(config.lint_fail_on)),
-        obs=obs,
+        tracer=tracer,
     )
     analysis = analyze_faults_cached(
-        circuit, level=config.collapse_level, obs=obs
+        circuit, level=config.collapse_level, tracer=tracer
     )
     faults = select_target_faults(analysis, config)
-    runner = get_engine(engine, circuit, budget=config.budget, obs=obs)
+    runner = get_engine(engine, circuit, budget=config.budget, tracer=tracer)
     result = runner.run(faults)
     return expand_result(result, analysis, circuit)
 
@@ -91,14 +91,14 @@ def run_pair(
     name: str,
     engine: str,
     config: HarnessConfig,
-    obs: Optional[Observability] = None,
+    tracer: Optional[Tracer] = None,
 ) -> PairRun:
     pair = build_pair(name, target_ratio=config.retime_target_ratio)
     original = run_engine_on_circuit(
-        pair.original_circuit, engine, config, obs=obs
+        pair.original_circuit, engine, config, tracer=tracer
     )
     retimed = run_engine_on_circuit(
-        pair.retimed_circuit, engine, config, obs=obs
+        pair.retimed_circuit, engine, config, tracer=tracer
     )
     return PairRun(pair=pair, original=original, retimed=retimed)
 

@@ -65,7 +65,7 @@ class HarnessConfig:
     runs_dir: str = "runs"  # where run ledgers live
     resume: Optional[str] = None  # run id to resume
     # Record trace spans per task and assemble the run's
-    # trace.jsonl.  Observability never feeds the science payload, so
+    # trace.jsonl.  Tracing never feeds the science payload, so
     # this is an execution knob: profiled and unprofiled runs produce
     # identical table rows and may resume each other's ledgers.
     profile: bool = False

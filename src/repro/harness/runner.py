@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..lint import GLOBAL_LEDGER
-from ..obs import Observability, write_trace_jsonl
+from ..obs import TRACE_NAME, Tracer, make_span_record, write_trace_jsonl
 from ..obs import coverage as coverage_mod
 from . import ledger as ledger_mod
 from . import figure3, table1, table5, table6, table7, table8
@@ -180,7 +180,7 @@ _SECTION_ROWS = {
 
 
 def _engine_pair_cell(
-    task: TaskSpec, config: HarnessConfig, obs: Observability
+    task: TaskSpec, config: HarnessConfig, tracer: Tracer
 ) -> Dict:
     """One (engine × circuit pair) run feeding the task's sections.
 
@@ -189,7 +189,7 @@ def _engine_pair_cell(
     row builders, so adding an engine touches the registry and the task
     graph, never this function.
     """
-    run = run_pair(task.pair, task.engine, config, obs=obs)
+    run = run_pair(task.pair, task.engine, config, tracer=tracer)
     tables: Dict[str, List[Dict]] = {}
     for section in task.tables:
         if wants(config, section):
@@ -202,25 +202,25 @@ def _engine_pair_cell(
 
 
 def _struct_cell(
-    task: TaskSpec, config: HarnessConfig, obs: Observability
+    task: TaskSpec, config: HarnessConfig, tracer: Tracer
 ) -> Dict:
     return {"tables": {"table5": [table5.row_for_pair(task.pair, config)]}}
 
 
 def _table1_cell(
-    task: TaskSpec, config: HarnessConfig, obs: Observability
+    task: TaskSpec, config: HarnessConfig, tracer: Tracer
 ) -> Dict:
     return {"tables": {"table1": table1.compute_rows()}}
 
 
 def _table7_cell(
-    task: TaskSpec, config: HarnessConfig, obs: Observability
+    task: TaskSpec, config: HarnessConfig, tracer: Tracer
 ) -> Dict:
     return {"tables": {"table7": table7.compute_rows(config)}}
 
 
 def _figure3_cell(
-    task: TaskSpec, config: HarnessConfig, obs: Observability
+    task: TaskSpec, config: HarnessConfig, tracer: Tracer
 ) -> Dict:
     curves = figure3.generate(config)
     return {"curves": [curve.to_dict() for curve in curves]}
@@ -255,23 +255,23 @@ def execute_task(task: TaskSpec, config: HarnessConfig) -> Dict:
     the payload, so the parent can merge every task's DRC diagnostics
     into the report exactly as the serial harness did.
 
-    Every task gets a fresh :class:`~repro.obs.Observability`; with
-    ``config.profile`` the cell runs under a recording tracer and the
-    span records ride along as ``payload["trace"]``.  Per-task tracers
-    keep the trace a pure function of the cell, independent of
-    scheduling order or worker placement.
+    Every task gets a fresh :class:`~repro.obs.Tracer`; with
+    ``config.profile`` it records, and the span records ride along as
+    ``payload["trace"]``.  Per-task tracers keep the trace a pure
+    function of the cell, independent of scheduling order or worker
+    placement.
     """
     if task.kind not in _CELLS:
         raise ReproError(f"unknown task kind {task.kind!r}")
     GLOBAL_LEDGER.clear()
     if config.task_hook:
         _resolve_hook(config.task_hook)(task, config)
-    obs = Observability.for_profile(config.profile)
-    with obs.trace.span("task", key=task.key, kind=task.kind):
-        payload = _CELLS[task.kind](task, config, obs)
+    tracer = Tracer(record=config.profile)
+    with tracer.span("task", key=task.key, kind=task.kind):
+        payload = _CELLS[task.kind](task, config, tracer)
     payload["lint"] = ledger_mod.serialize_lint_ledger(GLOBAL_LEDGER)
     if config.profile:
-        payload["trace"] = obs.trace.export()
+        payload["trace"] = tracer.export()
     return payload
 
 
@@ -630,19 +630,18 @@ def assemble_trace(
         for failure in sorted(
             failures.get(task.key, ()), key=lambda r: r.attempt
         ):
-            merged.append(
-                {
-                    "seq": None,
-                    "parent": None,
-                    "name": f"task.{failure.outcome}",
-                    "path": f"task.{failure.outcome}",
-                    "attrs": {"event": True, "attempt": failure.attempt},
-                    "t0": None,
-                    "t1": None,
-                    "wall_ms": round(failure.wall_seconds * 1000.0, 3),
-                    "task": task.key,
-                }
+            event = make_span_record(
+                seq=None,
+                parent=None,
+                name=f"task.{failure.outcome}",
+                path=f"task.{failure.outcome}",
+                attrs={"event": True, "attempt": failure.attempt},
+                t0=None,
+                t1=None,
+                wall_ms=round(failure.wall_seconds * 1000.0, 3),
             )
+            event["task"] = task.key
+            merged.append(event)
         record = completed.get(task.key)
         if record is None:
             continue
@@ -650,7 +649,7 @@ def assemble_trace(
             span = dict(span)
             span["task"] = task.key
             merged.append(span)
-    path = os.path.join(run_dir, "trace.jsonl")
+    path = os.path.join(run_dir, TRACE_NAME)
     write_trace_jsonl(path, merged)
     return path
 

@@ -31,7 +31,7 @@ from typing import (
 )
 
 from ..circuit.netlist import Circuit
-from ..obs import Observability
+from ..obs import Tracer
 from .severity import Severity
 
 
@@ -263,10 +263,6 @@ class LintReport:
     rules_run: Tuple[str, ...]
     suppressed: int = 0
     elapsed_seconds: float = 0.0
-    # Wall seconds per rule ID.  Diagnostic only — deliberately kept out
-    # of to_dict() so ledger rows stay machine-independent; the obs
-    # trace carries the same timings as span wall_ms metadata.
-    rule_seconds: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
@@ -346,7 +342,7 @@ def run_lint(
     circuit: Circuit,
     config: Optional[LintConfig] = None,
     registry: Optional[RuleRegistry] = None,
-    obs: Optional[Observability] = None,
+    tracer: Optional[Tracer] = None,
 ) -> LintReport:
     """Run every enabled rule over ``circuit`` and collect diagnostics.
 
@@ -355,18 +351,17 @@ def run_lint(
     than aborting the run — broken circuits are exactly what the
     analyzer must survive.
 
-    ``obs`` receives one ``lint.rule`` trace span per rule (wall timing
-    as span metadata).
+    ``tracer`` receives one ``lint.rule`` trace span per rule (wall
+    timing as span metadata).
     """
     from . import rules as _builtin_rules  # noqa: F401  (populate REGISTRY)
 
     config = config or LintConfig()
-    registry = registry or REGISTRY
-    obs = obs if obs is not None else Observability()
+    registry = registry if registry is not None else REGISTRY
+    tracer = tracer if tracer is not None else Tracer()
     context = LintContext(circuit, config)
     diagnostics: List[Diagnostic] = []
     ran: List[str] = []
-    rule_seconds: Dict[str, float] = {}
     start = time.perf_counter()
 
     for rule_entry in registry.rules():
@@ -375,8 +370,7 @@ def run_lint(
         ran.append(rule_entry.rule_id)
         severity = config.effective_severity(rule_entry)
         emitted = 0
-        rule_start = time.perf_counter()
-        with obs.trace.span(
+        with tracer.span(
             "lint.rule", rule=rule_entry.rule_id, circuit=circuit.name
         ):
             try:
@@ -405,11 +399,7 @@ def run_lint(
                         category="internal",
                     )
                 )
-                rule_seconds[rule_entry.rule_id] = (
-                    time.perf_counter() - rule_start
-                )
                 continue
-        rule_seconds[rule_entry.rule_id] = time.perf_counter() - rule_start
         overflow = emitted - config.max_findings_per_rule
         if overflow > 0:
             diagnostics.append(
@@ -430,11 +420,10 @@ def run_lint(
         diagnostics=diagnostics,
         rules_run=tuple(ran),
         elapsed_seconds=time.perf_counter() - start,
-        rule_seconds=rule_seconds,
     )
 
 
-def replay_lint_observability(report: LintReport, obs: Observability) -> None:
+def replay_lint_observability(report: LintReport, tracer: Tracer) -> None:
     """Emit the ``lint.rule`` spans that :func:`run_lint` emitted when
     it produced ``report``.
 
@@ -444,7 +433,7 @@ def replay_lint_observability(report: LintReport, obs: Observability) -> None:
     at every ``--jobs`` level.
     """
     for rule_id in report.rules_run:
-        with obs.trace.span(
+        with tracer.span(
             "lint.rule", rule=rule_id, circuit=report.circuit_name
         ):
             pass

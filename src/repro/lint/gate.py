@@ -27,6 +27,7 @@ from typing import AbstractSet, Dict, Hashable, List, Mapping, Optional, Tuple
 from ..circuit.memo import CircuitMemo
 from ..circuit.netlist import Circuit
 from ..errors import LintError
+from ..obs import Tracer
 from .core import LintConfig, LintReport, replay_lint_observability, run_lint
 from .severity import Severity
 
@@ -132,7 +133,7 @@ def gate_circuit(
     stage: str = "",
     config: Optional[LintConfig] = None,
     ledger: Optional[LintLedger] = GLOBAL_LEDGER,
-    obs=None,
+    tracer: Optional[Tracer] = None,
 ) -> Optional[LintReport]:
     """Run the analyzer as a flow gate; returns the report (None if OFF).
 
@@ -140,7 +141,8 @@ def gate_circuit(
     config's ``fail_on`` threshold (error severity by default); ``warn``
     logs a one-line summary at WARNING and the individual findings at
     DEBUG.  Every non-OFF invocation is recorded in ``ledger``.
-    ``obs`` is forwarded to :func:`run_lint` for per-rule spans.
+    ``tracer`` gets a ``lint.gate`` span around :func:`run_lint`'s
+    per-rule spans.
 
     Gates share one report per circuit (structure version) and config:
     the post-synthesis and pre-ATPG gates, and every engine's pre-ATPG
@@ -153,11 +155,9 @@ def gate_circuit(
         return None
     config = config or LintConfig()
     stage = stage or f"lint:{circuit.name}"
-    if obs is not None:
-        with obs.trace.span("lint.gate", stage=stage):
-            report = _lint_memoized(circuit, config, obs)
-    else:
-        report = _lint_memoized(circuit, config, obs=None)
+    tracer = tracer if tracer is not None else Tracer()
+    with tracer.span("lint.gate", stage=stage):
+        report = _lint_memoized(circuit, config, tracer)
     if ledger is not None:
         ledger.record(stage, report)
 
@@ -190,7 +190,7 @@ _REPORTS: "CircuitMemo[Dict[Tuple[Hashable, ...], LintReport]]" = CircuitMemo()
 
 
 def _lint_memoized(
-    circuit: Circuit, config: LintConfig, obs
+    circuit: Circuit, config: LintConfig, tracer: Tracer
 ) -> LintReport:
     """:func:`run_lint` with the default rule set, memoized per circuit
     version, circuit name and config field values."""
@@ -198,10 +198,10 @@ def _lint_memoized(
     key = (circuit.name, _config_key(config))
     report = reports.get(key)
     if report is None:
-        report = run_lint(circuit, config, obs=obs)
+        report = run_lint(circuit, config, tracer=tracer)
         reports[key] = report
-    elif obs is not None:
-        replay_lint_observability(report, obs)
+    else:
+        replay_lint_observability(report, tracer)
     return report
 
 

@@ -12,22 +12,14 @@ Two pieces:
 * exporters — ``trace.jsonl`` JSONL dump and a flame-style per-phase
   rollup (``python -m repro run --profile``).
 
-An :class:`Observability` holds one tracer and is what engines,
-simulators, the lint gate and the harness runner accept.
-``Observability()`` (the engines' default) traces nothing: its tracer
-writes to :data:`NULL_SINK`, whose disabled path is benchmarked to stay
-within a few percent of un-instrumented runs.
+Engines, the lint gate, the fault analyzer and the harness cells take
+``tracer=``.  ``Tracer()`` (the default each builds for itself) records
+nothing, and its disabled path is benchmarked to stay within a few
+percent of un-instrumented runs; ``Tracer(record=True)`` keeps every
+span (``--profile``).
 """
 
-from .trace import (
-    NULL_SINK,
-    NullSink,
-    RecordingSink,
-    Tracer,
-    annotate,
-    make_span_record,
-    null_tracer,
-)
+from .trace import Tracer, make_span_record
 from .export import (
     TRACE_NAME,
     canonical_lines,
@@ -39,41 +31,11 @@ from .export import (
     write_trace_jsonl,
 )
 
-
-class Observability:
-    """One tracer, threaded through a run.
-
-    Tracing is opt-in via a recording sink.  Every engine, simulator
-    and gate takes ``obs=None`` and falls back to a private default
-    instance that records nothing.
-    """
-
-    __slots__ = ("trace",)
-
-    def __init__(self, trace=None):
-        self.trace = trace if trace is not None else null_tracer()
-
-    @classmethod
-    def recording(cls, clock=None) -> "Observability":
-        """An in-memory span recorder (``--profile``)."""
-        return cls(trace=Tracer(sink=RecordingSink(), clock=clock))
-
-    @classmethod
-    def for_profile(cls, profile: bool) -> "Observability":
-        return cls.recording() if profile else cls()
-
-
 __all__ = [
-    "NULL_SINK",
-    "NullSink",
-    "Observability",
-    "RecordingSink",
     "TRACE_NAME",
     "Tracer",
-    "annotate",
     "canonical_lines",
     "make_span_record",
-    "null_tracer",
     "read_trace_jsonl",
     "render_rollup",
     "rollup_by_path",

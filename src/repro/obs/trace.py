@@ -16,8 +16,8 @@ opened while no clock is attached (lint gates, task setup) carry
 duration is attached as ``wall_ms`` metadata only; every exporter and
 equivalence check strips ``wall*`` fields before comparing.
 
-The disabled path is a single attribute test: a tracer whose sink is
-:class:`NullSink` hands back one shared no-op context manager from
+The disabled path is a single attribute test: a tracer built without
+``record=True`` hands back one shared no-op context manager from
 ``span()`` and allocates nothing (the <3% overhead budget of the
 harness's default, non-``--profile`` mode).
 """
@@ -30,34 +30,9 @@ from typing import Any, Dict, List, Optional
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
 
-class NullSink:
-    """Discards everything; ``enabled=False`` short-circuits ``span()``."""
-
-    enabled = False
-
-    def emit(self, record: Dict[str, Any]) -> None:  # pragma: no cover
-        pass
-
-
-class RecordingSink:
-    """Keeps finished span records in memory for export."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
-
-
-#: Shared stateless sink for every disabled tracer.
-NULL_SINK = NullSink()
-
-
 class _NullSpan:
     """The shared no-op context manager ``span()`` returns when the
-    sink is disabled."""
+    tracer records nothing."""
 
     __slots__ = ()
 
@@ -67,12 +42,15 @@ class _NullSpan:
     def __exit__(self, *exc: object) -> None:
         return None
 
+    def annotate(self, **attrs: Any) -> None:
+        return None
+
 
 _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """One active span; emitted to the sink on exit."""
+    """One active span; recorded by its tracer on exit."""
 
     __slots__ = (
         "_tracer", "name", "attrs", "seq", "parent", "path",
@@ -97,24 +75,38 @@ class _Span:
     def __exit__(self, *exc: object) -> None:
         self._tracer._close(self)
 
+    def annotate(self, **attrs: Any) -> None:
+        """Attach attributes to this open span.
+
+        Lets instrumented code enrich ``with tracer.span(...) as span:``
+        blocks (e.g. the per-fault valid/invalid search tallies) without
+        guarding every call site on ``tracer.enabled``: the null span's
+        ``annotate`` does nothing."""
+        self.attrs.update(_sanitize(attrs))
+
 
 class Tracer:
     """Span recorder for one experiment cell (or one engine run).
 
+    ``Tracer()`` (the engines' default) records nothing; ``--profile``
+    runs build ``Tracer(record=True)``, which keeps every finished span
+    record in memory for :meth:`export`.
+
     Not thread-safe by design: a cell is single-threaded, and parallel
     harness runs give every worker its own tracer whose records the
-    parent merges in canonical task order.
+    parent merges in canonical task order.  Give every engine, gate or
+    task its own tracer, too: ``use_clock`` mutates it.
     """
 
-    def __init__(self, sink=None, clock=None):
-        self._sink = sink if sink is not None else NULL_SINK
+    def __init__(self, record: bool = False, clock=None):
+        self._records: Optional[List[Dict[str, Any]]] = [] if record else None
         self._clock = clock
         self._stack: List[_Span] = []
         self._seq = 0
 
     @property
     def enabled(self) -> bool:
-        return self._sink.enabled
+        return self._records is not None
 
     def use_clock(self, clock) -> None:
         """Attach (or detach, with ``None``) the virtual clock spans
@@ -124,22 +116,15 @@ class Tracer:
 
     def span(self, name: str, **attrs: Any):
         """A context manager recording one span; no-op when disabled."""
-        if not self._sink.enabled:
+        if self._records is None:
             return _NULL_SPAN
         return _Span(self, name, _sanitize(attrs))
 
-    def event(self, name: str, **attrs: Any) -> None:
-        """A zero-duration marker span (retries, budget cuts)."""
-        if not self._sink.enabled:
-            return
-        with self.span(name, **attrs) as span:
-            span.attrs["event"] = True
-
     def export(self) -> List[Dict[str, Any]]:
         """Finished span records in start (``seq``) order."""
-        if not self._sink.enabled:
+        if self._records is None:
             return []
-        return sorted(self._sink.records, key=lambda r: r["seq"])
+        return sorted(self._records, key=lambda r: r["seq"])
 
     # -- span lifecycle (called by _Span) ----------------------------------
 
@@ -162,7 +147,7 @@ class Tracer:
         if self._stack:
             self._stack.pop()
         t1 = span._clock.seconds() if span._clock else None
-        self._sink.emit(
+        self._records.append(
             make_span_record(
                 seq=span.seq,
                 parent=span.parent,
@@ -205,17 +190,6 @@ def make_span_record(
     }
 
 
-def annotate(span: Any, **attrs: Any) -> None:
-    """Attach attributes to an open span; no-op on the null span.
-
-    Lets instrumented code enrich ``with tracer.span(...) as span:``
-    blocks (e.g. the per-fault valid/invalid search tallies) without
-    guarding every call site on ``tracer.enabled``."""
-    if span is _NULL_SPAN or isinstance(span, _NullSpan):
-        return
-    span.attrs.update(_sanitize(attrs))
-
-
 def _sanitize(attrs: Dict[str, Any]) -> Dict[str, Any]:
     """Span attributes must be JSON scalars (they land in trace.jsonl
     and in the determinism fingerprint); stringify anything else."""
@@ -223,9 +197,3 @@ def _sanitize(attrs: Dict[str, Any]) -> Dict[str, Any]:
         key: value if isinstance(value, _JSON_SCALARS) else str(value)
         for key, value in attrs.items()
     }
-
-
-#: A ready-made disabled tracer constructor (each caller gets its own
-#: Tracer so ``use_clock`` never mutates shared state).
-def null_tracer() -> Tracer:
-    return Tracer(sink=NULL_SINK)

@@ -17,7 +17,7 @@ from repro.atpg import (
 )
 from repro.atpg.registry import EngineSpec, register_engine
 from repro.errors import AtpgError
-from repro.obs import Observability
+from repro.obs import Tracer
 
 # Any DeprecationWarning raised in this file is a bug: the PR 3
 # engine-kwarg shims are retired, so nothing here should warn.
@@ -88,10 +88,12 @@ class TestRegistry:
         direct = HitecEngine(circuit, budget=LEAN).run()
         assert via_registry.counters() == direct.counters()
 
-    def test_obs_is_forwarded(self, dk16_rugged):
-        obs = Observability()
-        engine = get_engine("sest", dk16_rugged.circuit, budget=LEAN, obs=obs)
-        assert engine.obs is obs
+    def test_tracer_is_forwarded(self, dk16_rugged):
+        tracer = Tracer()
+        engine = get_engine(
+            "sest", dk16_rugged.circuit, budget=LEAN, tracer=tracer
+        )
+        assert engine.tracer is tracer
 
 
 class TestProtocol:

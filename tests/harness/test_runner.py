@@ -281,7 +281,7 @@ class TestConcurrentAppends:
         lands whole, once."""
         blob = "x" * 50_000  # several write buffers per row
         monkeypatch.setitem(
-            runner._CELLS, "table1", lambda task, config, obs: {"blob": blob}
+            runner._CELLS, "table1", lambda task, config, tracer: {"blob": blob}
         )
         config = lean_config(tmp_path, max_task_retries=0)
         ledger_file = str(tmp_path / "ledger.jsonl")

@@ -140,6 +140,15 @@ class TestRunner:
         assert len(report.errors) == 1
         assert "kaboom" in report.errors[0].message
 
+    def test_empty_registry_runs_no_rules(self):
+        # An empty registry is falsy (len 0) but still the one asked for.
+        builder = CircuitBuilder("inverter")
+        (a,) = builder.inputs("a")
+        builder.output(builder.not_(a, name="out"))
+        report = run_lint(builder.build(), registry=RuleRegistry())
+        assert report.rules_run == ()
+        assert report.diagnostics == []
+
 
 class TestReport:
     def _report(self):

@@ -16,7 +16,7 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint import gate as gate_module
-from repro.obs import Observability, canonical_lines
+from repro.obs import Tracer, canonical_lines
 from repro.sim.compile import clear_program_cache
 from repro.synth.synthesize import synthesize
 
@@ -156,13 +156,17 @@ class TestReportMemo:
 
         def two_gates(clear_between):
             clear_program_cache()
-            obs = Observability.recording()
+            tracer = Tracer(record=True)
             ledger = LintLedger()
             reports = []
             for stage in ("post-synthesis:x", "pre-atpg:x"):
                 reports.append(
                     gate_circuit(
-                        circuit, stage=stage, config=config, ledger=ledger, obs=obs
+                        circuit,
+                        stage=stage,
+                        config=config,
+                        ledger=ledger,
+                        tracer=tracer,
                     )
                 )
                 if clear_between:
@@ -171,14 +175,14 @@ class TestReportMemo:
                 "post-synthesis:x",
                 "pre-atpg:x",
             ]
-            return obs, reports
+            return tracer, reports
 
-        cached_obs, cached = two_gates(clear_between=False)
+        cached_tracer, cached = two_gates(clear_between=False)
         assert len(runs) == 1 and cached[0] is cached[1]
-        uncached_obs, uncached = two_gates(clear_between=True)
+        uncached_tracer, uncached = two_gates(clear_between=True)
         assert len(runs) == 3 and uncached[0] is not uncached[1]
-        assert canonical_lines(cached_obs.trace.export()) == canonical_lines(
-            uncached_obs.trace.export()
+        assert canonical_lines(cached_tracer.export()) == canonical_lines(
+            uncached_tracer.export()
         )
         # DRC005 emitted three findings: one stored plus a truncation note.
         for report in cached + uncached:

@@ -30,7 +30,7 @@ from repro.obs.coverage import (
 from repro.atpg.result import FaultBook, Stopwatch, WorkClock
 from repro.obs.report import main as report_cli
 from repro.obs.search import SearchObserver, StateClassifier
-from repro.obs.trace import null_tracer
+from repro.obs import Tracer
 
 
 def rec(fault, outcome, provenance=PROV_TARGETED, abort_reason=None,
@@ -78,7 +78,7 @@ class TestObserver:
         self, book, simulator, clock
     ):
         simulator.events += 100
-        with book.target("x1/0", null_tracer()) as scope:
+        with book.target("x1/0", Tracer()) as scope:
             simulator.events += 60
             clock.charge(5000)
         scope.close("detected", 7, 2, detected_by=3)
@@ -92,10 +92,10 @@ class TestObserver:
         assert record["cpu_seconds"] == 0.5
 
     def test_abort_reason_only_on_aborted_outcome(self, book):
-        with book.target("x1/0", null_tracer()) as scope:
+        with book.target("x1/0", Tracer()) as scope:
             pass
         scope.close("aborted", 0, 0, abort_reason=ABORT_BACKTRACK_LIMIT)
-        with book.target("x1/1", null_tracer()) as scope:
+        with book.target("x1/1", Tracer()) as scope:
             pass
         scope.close(
             "redundant", 0, 0, abort_reason=ABORT_BACKTRACK_LIMIT
@@ -127,7 +127,7 @@ class TestObserver:
 
     def test_order_is_resolution_order(self, book):
         book.detected("a/0", PROV_RANDOM_PHASE, 0)
-        with book.target("b/1", null_tracer()) as scope:
+        with book.target("b/1", Tracer()) as scope:
             # Under search, a fault is neither open nor resolved.
             assert not book.is_open("b/1")
             assert "b/1" not in book.open_faults()

@@ -20,7 +20,7 @@ from repro.atpg.podem import SearchMeter
 from repro.atpg.result import FaultBook, Stopwatch
 from repro.circuit.gates import X
 from repro.errors import AnalysisError
-from repro.obs import null_tracer
+from repro.obs import Tracer
 from repro.obs.search import (
     SearchObserver,
     StateClassifier,
@@ -155,13 +155,13 @@ class TestObserver:
             types.SimpleNamespace(events=0),
             observer,
         )
-        with book.target("q/0", null_tracer()) as scope:
+        with book.target("q/0", Tracer()) as scope:
             observer.observe_cube({0: 1})
             observer.observe_cube({0: 0})
             assert scope.dwell() == (2, 0)
         scope.close("aborted", 3, 1)
         observer.observe_cube({0: 1})  # between scopes: nobody's dwell
-        with book.target("q/1", null_tracer()) as scope:
+        with book.target("q/1", Tracer()) as scope:
             assert scope.dwell() == (0, 0)
         scope.close("redundant", 0, 1)
 

@@ -4,12 +4,8 @@ import time
 
 from repro.atpg.result import WorkClock
 from repro.obs import (
-    NULL_SINK,
-    Observability,
-    RecordingSink,
     Tracer,
     canonical_lines,
-    null_tracer,
     read_trace_jsonl,
     render_rollup,
     rollup_by_path,
@@ -18,13 +14,9 @@ from repro.obs import (
 )
 
 
-def recording_tracer(clock=None):
-    return Tracer(sink=RecordingSink(), clock=clock)
-
-
 class TestSpans:
     def test_nesting_builds_paths_and_parents(self):
-        tracer = recording_tracer()
+        tracer = Tracer(record=True)
         with tracer.span("task"):
             with tracer.span("atpg.run"):
                 with tracer.span("atpg.fault", fault="n1/sa0"):
@@ -45,7 +37,7 @@ class TestSpans:
         assert by_name["atpg.fault"]["attrs"] == {"fault": "n1/sa0"}
 
     def test_export_is_in_start_order(self):
-        tracer = recording_tracer()
+        tracer = Tracer(record=True)
         with tracer.span("a"):
             with tracer.span("b"):
                 pass
@@ -54,7 +46,7 @@ class TestSpans:
 
     def test_virtual_timestamps_come_from_clock(self):
         clock = WorkClock()
-        tracer = recording_tracer()
+        tracer = Tracer(record=True)
         tracer.use_clock(clock)
         with tracer.span("work"):
             clock.charge(100)
@@ -64,21 +56,21 @@ class TestSpans:
         assert record["wall_ms"] >= 0.0
 
     def test_no_clock_means_null_timestamps(self):
-        tracer = recording_tracer()
+        tracer = Tracer(record=True)
         with tracer.span("setup"):
             pass
         (record,) = tracer.export()
         assert record["t0"] is None and record["t1"] is None
 
     def test_non_scalar_attrs_are_stringified(self):
-        tracer = recording_tracer()
+        tracer = Tracer(record=True)
         with tracer.span("x", thing=(1, 2)):
             pass
         (record,) = tracer.export()
         assert record["attrs"]["thing"] == "(1, 2)"
 
     def test_leaked_span_is_closed_by_ancestor_exit(self):
-        tracer = recording_tracer()
+        tracer = Tracer(record=True)
         outer = tracer.span("outer")
         inner = tracer.span("inner")
         outer.__enter__()
@@ -88,27 +80,31 @@ class TestSpans:
         records = tracer.export()
         assert [r["name"] for r in records] == ["outer"]
 
-    def test_event_is_zero_duration_marker(self):
-        tracer = recording_tracer()
-        tracer.event("task.retry", attempt=1)
+    def test_annotate_adds_sanitized_attrs(self):
+        tracer = Tracer(record=True)
+        with tracer.span("atpg.fault", fault="n1/sa0") as span:
+            span.annotate(search_valid=3, cube=(0, 1))
         (record,) = tracer.export()
-        assert record["attrs"]["event"] is True
-        assert record["attrs"]["attempt"] == 1
+        assert record["attrs"] == {
+            "fault": "n1/sa0",
+            "search_valid": 3,
+            "cube": "(0, 1)",
+        }
 
 
 class TestNullPath:
     def test_disabled_span_is_shared_noop(self):
-        tracer = null_tracer()
+        tracer = Tracer()
         assert tracer.enabled is False
         a = tracer.span("x", big="attr")
         b = tracer.span("y")
         assert a is b  # one shared object: no per-call allocation
-        with a:
-            pass
+        with a as span:
+            span.annotate(ignored=1)
         assert tracer.export() == []
 
     def test_null_tracers_are_independent(self):
-        a, b = null_tracer(), null_tracer()
+        a, b = Tracer(), Tracer()
         assert a is not b
         a.use_clock(WorkClock())  # must not leak into b
         assert b._clock is None
@@ -117,7 +113,7 @@ class TestNullPath:
         """Disabled span() must stay an attribute test plus a shared
         object return — a loose absolute bound catches accidental
         allocation creep without being timing-flaky."""
-        tracer = null_tracer()
+        tracer = Tracer()
         start = time.perf_counter()
         for _ in range(100_000):
             with tracer.span("hot"):
@@ -126,19 +122,14 @@ class TestNullPath:
         assert elapsed < 2.0
 
     def test_default_observability_traces_nothing(self):
-        obs = Observability()
-        assert obs.trace.enabled is False
-        assert Observability.for_profile(False).trace.enabled is False
-        assert Observability.for_profile(True).trace.enabled is True
-
-    def test_null_sink_is_shared(self):
-        assert null_tracer()._sink is NULL_SINK
+        assert Tracer().enabled is False
+        assert Tracer(record=True).enabled is True
 
 
 class TestExport:
     def make_records(self):
         clock = WorkClock()
-        tracer = recording_tracer()
+        tracer = Tracer(record=True)
         tracer.use_clock(clock)
         with tracer.span("task", key="t"):
             with tracer.span("atpg.run"):
