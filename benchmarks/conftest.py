@@ -12,7 +12,7 @@ After a bench session, results are also persisted in the perf-record
 format (``benchmarks/baselines/pytest-bench.json``) so harness cell
 records and bench timings share one schema: ``scripts/perf_snapshot.py``
 folds them into its snapshot as advisory wall-only records, and
-``python -m repro.obs.perf diff`` can compare two bench sessions
+``python -m repro perf diff`` can compare two bench sessions
 directly.
 """
 

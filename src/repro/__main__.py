@@ -1,16 +1,16 @@
 """One front door for every repro CLI: ``python -m repro <command>``.
 
-    python -m repro run quick --jobs 4        # tables/figures harness
-    python -m repro lint --all                # static netlist analyzer
-    python -m repro perf diff a.json b.json   # perf snapshots & gates
-    python -m repro report runs/...           # search & coverage reports
-    python -m repro fault-analysis dk16.ji.sd # static fault analyzer
+    python -m repro run quick --jobs 4          # tables/figures harness
+    python -m repro lint my.blif                # static netlist analyzer
+    python -m repro perf diff a.json b.json     # perf snapshots & gates
+    python -m repro report runs/<run-id>        # what one run did
+    python -m repro fault-analysis report       # static fault analyzer
 
-Each command delegates, arguments untouched, to the matching
-subsystem CLI (``repro.harness``, ``repro.lint``, ``repro.obs.perf``,
-``repro.obs.report``, ``repro.fault.analysis``).  The per-subsystem
-``python -m`` spellings keep working but print a one-line pointer
-here.
+Each command delegates, arguments untouched, to the ``main(argv)`` of
+the matching subsystem CLI module (``repro.harness.cli``,
+``repro.lint.cli``, ``repro.obs.perf.cli``, ``repro.obs.report``,
+``repro.fault.analysis.cli``).  This is the only spelling: none of
+those packages is runnable with ``python -m`` on its own.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from typing import List, Optional
 
 #: command -> (module with main(argv), summary line)
 COMMANDS = {
-    "run": ("repro.harness.__main__", "regenerate the paper's tables and figures"),
-    "lint": ("repro.lint.__main__", "static netlist analyzer (DRC)"),
-    "perf": ("repro.obs.perf.__main__", "perf snapshots, diffs and gates"),
+    "run": ("repro.harness.cli", "regenerate the paper's tables and figures"),
+    "lint": ("repro.lint.cli", "static netlist analyzer (DRC)"),
+    "perf": ("repro.obs.perf.cli", "perf snapshots, diffs and gates"),
     "report": (
         "repro.obs.report",
-        "search-waste and fault-lifecycle observatory report",
+        "one run's search-waste, fault-lifecycle and span-rollup report",
     ),
     "fault-analysis": (
-        "repro.fault.analysis.__main__",
+        "repro.fault.analysis.cli",
         "static fault analyzer (collapse/dominance/untestable)",
     ),
 }

@@ -162,19 +162,6 @@ def bit_positions(mask: int) -> Iterator[int]:
         yield bit.bit_length() - 1
 
 
-def note_legacy_entry(old: str, new: str) -> None:
-    """One-line stderr pointer from a legacy ``python -m`` entry point
-    to its ``python -m repro`` dispatcher spelling.  Called only from
-    ``__main__`` guards, so imports and dispatcher delegation stay
-    silent."""
-    import sys
-
-    print(
-        f"note: '{old}' is deprecated; prefer '{new}' (same arguments)",
-        file=sys.stderr,
-    )
-
-
 def format_engineering(value: float) -> str:
     """Format a number the way the paper's tables do.
 

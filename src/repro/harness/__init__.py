@@ -6,7 +6,7 @@ Usage::
     table, runs = table2.generate(HarnessConfig.smoke())
     print(table.render())
 
-or from the command line: ``python -m repro.harness smoke``.
+or from the command line: ``python -m repro run smoke``.
 """
 
 from .config import HarnessConfig, sample_faults, select_target_faults

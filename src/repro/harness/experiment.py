@@ -1,6 +1,6 @@
 """Run every experiment and emit an EXPERIMENTS-style report.
 
-``python -m repro.harness`` regenerates all eight tables plus Figure 3
+``python -m repro run`` regenerates all eight tables plus Figure 3
 at the chosen effort level and prints them; the repository's
 EXPERIMENTS.md embeds one such run.
 
@@ -23,7 +23,7 @@ import os
 import time
 from typing import Optional
 
-from ..obs import read_trace_jsonl, render_rollup
+from ..obs import ROLLUP_ROWS, read_trace_jsonl, render_rollup
 from ..obs.perf import (
     collect_environment,
     snapshot_from_ledger,
@@ -124,6 +124,6 @@ def _profile_summary(result: RunResult) -> str:
     """Per-phase span rollup for a profiled run."""
     return render_rollup(
         read_trace_jsonl(result.trace_file),
-        top=15,
+        top=ROLLUP_ROWS,
         title=f"Profile: hottest span paths ({result.run_id})",
     )

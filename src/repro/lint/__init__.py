@@ -16,7 +16,7 @@ spent:
 * text / JSON reporters and a :class:`Baseline` suppression format;
 * pipeline gates (:func:`gate_circuit`) used post-synthesis and
   pre-ATPG by the experiment harness;
-* a CLI: ``python -m repro.lint <file.blif> [--format json]
+* a CLI: ``python -m repro lint <file.blif> [--format json]
   [--fail-on warning]``.
 """
 

@@ -21,6 +21,7 @@ span (``--profile``).
 
 from .trace import Tracer, make_span_record
 from .export import (
+    ROLLUP_ROWS,
     TRACE_NAME,
     canonical_lines,
     read_trace_jsonl,
@@ -32,6 +33,7 @@ from .export import (
 )
 
 __all__ = [
+    "ROLLUP_ROWS",
     "TRACE_NAME",
     "Tracer",
     "canonical_lines",

@@ -1,6 +1,6 @@
-"""Shared plumbing for the observability command-line tools.
+"""Shared plumbing for the ``python -m repro`` command-line tools.
 
-Every reporting CLI in this repository speaks the same dialect:
+The reporting commands (``report``, ``perf``) speak the same dialect:
 
 * exit code 0 — report printed;
 * exit code 1 — findings (or no data to report on);
@@ -13,19 +13,17 @@ Every reporting CLI in this repository speaks the same dialect:
 * a ``BrokenPipeError``-tolerant entry point (``... | head`` must not
   produce a traceback).
 
-``repro.obs.report``, ``repro.obs.perf`` and
-``scripts/trace_summary.py`` all build on these helpers instead of
-re-implementing them.  This module must stay import-light (stdlib
-only): the scripts import it before any heavy subsystem, and
-:data:`LEDGER_NAME` deliberately mirrors
-``repro.harness.ledger.LEDGER_NAME`` rather than importing the harness.
+The module is stdlib-only: :data:`LEDGER_NAME` deliberately mirrors
+``repro.harness.ledger.LEDGER_NAME`` rather than importing the
+harness, so ``report`` and ``perf`` read a run without loading
+``repro.harness``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable
 
 #: Mirrors repro.harness.ledger.LEDGER_NAME (no harness import here).
 LEDGER_NAME = "ledger.jsonl"
@@ -50,29 +48,19 @@ def resolve_ledger(source: str) -> str:
     return source
 
 
-def find_run_file(
-    runs_dir: str, filename: str, hint: Optional[str] = None
-) -> str:
-    """The newest run directory under ``runs_dir`` containing
-    ``filename`` (run ids sort by start time)."""
+def find_ledger(runs_dir: str) -> str:
+    """The ledger of the newest run under ``runs_dir`` (run ids sort
+    by start time)."""
     if not os.path.isdir(runs_dir):
         raise CliError(
             f"runs directory {runs_dir!r} does not exist; "
             "pass a path or --runs-dir"
         )
     for run_id in sorted(os.listdir(runs_dir), reverse=True):
-        path = os.path.join(runs_dir, run_id, filename)
+        path = os.path.join(runs_dir, run_id, LEDGER_NAME)
         if os.path.isfile(path):
             return path
-    message = f"no {filename} under {runs_dir!r}"
-    if hint:
-        message += f"; {hint}"
-    raise CliError(message)
-
-
-def find_ledger(runs_dir: str) -> str:
-    """The newest run ledger under ``runs_dir``."""
-    return find_run_file(runs_dir, LEDGER_NAME)
+    raise CliError(f"no {LEDGER_NAME} under {runs_dir!r}")
 
 
 def write_output(path: str, text: str) -> None:

@@ -15,18 +15,16 @@ place an engine keeps a fault's outcome.  Three pieces here:
   record carries;
 * the report layer — coverage-vs-cumulative-effort curves per cell and
   aggregated, the per-cell abort forensics the combined harness report
-  embeds, and the cross-engine hard-fault ranking exported as a
-  machine-readable target list for the future ``hitec-cdl`` engine;
+  embeds, and the cross-engine hard-fault ranking;
 * the ledger core — ``lifecycle_core`` embeds the records in every ok
   ledger row (since RECORD_VERSION 5), read back by the CLI.
 
 CLI (the lifecycle section of the combined observatory report)::
 
     python -m repro report <run-dir-or-ledger>
-    python -m repro report --targets hard-faults.json
 
 All records close at deterministic WorkClock-ordered points, so
-reports, curves, and the target list are byte-identical across
+reports and curves are byte-identical across
 ``--jobs`` levels and across cold vs warm cache runs.
 
 This package deliberately never imports ``repro.atpg`` or
@@ -49,13 +47,11 @@ from .taxonomy import (
 from .report import (
     COVERAGE_SCHEMA_VERSION,
     MARK_PERCENTS,
-    TARGETS_SCHEMA_VERSION,
     CellRecords,
     CoverageCurve,
     HardFault,
     cell_records_from_ledger_rows,
     coverage_curves,
-    hard_fault_targets,
     lifecycle_core,
     lifecycle_counter_block,
     rank_hard_faults,
@@ -81,10 +77,8 @@ __all__ = [
     "PROV_FAULT_DROP",
     "PROV_RANDOM_PHASE",
     "PROV_TARGETED",
-    "TARGETS_SCHEMA_VERSION",
     "cell_records_from_ledger_rows",
     "coverage_curves",
-    "hard_fault_targets",
     "lifecycle_core",
     "lifecycle_counter_block",
     "rank_hard_faults",

@@ -14,15 +14,13 @@ and produces:
   effort-to-reach-{50,75,90,95}% marks in deterministic WorkClock
   seconds;
 * the cross-engine/cross-budget hard-fault ranking — repeat aborters
-  first, then high-effort detections — and its machine-readable target
-  list (:func:`hard_fault_targets`) for the future ``hitec-cdl``
-  engine;
+  first, then high-effort detections;
 * text renderings: the compact abort-forensics block the combined
   harness report embeds, and the fuller lifecycle section of
   ``python -m repro report``.
 
 Everything derives from WorkClock-ordered per-fault records, so every
-rendering and the exported target list are byte-identical between
+rendering is byte-identical between
 ``--jobs 1`` and ``--jobs 4`` runs (and cold vs warm cache runs) of
 the same config.
 """
@@ -37,9 +35,6 @@ from .taxonomy import ABORT_REASONS, INCIDENTAL_PROVENANCES, PROV_TARGETED
 
 #: Version of the ledger-embedded ``lifecycle`` payload.
 COVERAGE_SCHEMA_VERSION = 1
-
-#: Version of the exported hard-fault target list.
-TARGETS_SCHEMA_VERSION = 1
 
 #: Coverage fractions (percent of final detections) the curves mark.
 MARK_PERCENTS = (50, 75, 90, 95)
@@ -312,32 +307,6 @@ def rank_hard_faults(cells: Iterable[CellRecords]) -> List[HardFault]:
     ranked.sort(key=lambda p: (-p.aborts, -p.backtracks, -p.frames,
                                -p.sim_events, p.circuit, p.fault))
     return ranked
-
-
-def hard_fault_targets(ranked: Iterable[HardFault]) -> Dict[str, Any]:
-    """The machine-readable target list consumed by ``hitec-cdl``:
-    deterministic JSON, hardest fault first."""
-    return {
-        "schema": TARGETS_SCHEMA_VERSION,
-        "generator": "repro.obs.coverage",
-        "targets": [
-            {
-                "circuit": profile.circuit,
-                "fault": profile.fault,
-                "aborts": profile.aborts,
-                "abort_reasons": {
-                    reason: profile.abort_reasons[reason]
-                    for reason in sorted(profile.abort_reasons)
-                },
-                "detections": profile.detections,
-                "backtracks": profile.backtracks,
-                "frames": profile.frames,
-                "sim_events": profile.sim_events,
-                "cells": list(profile.cells),
-            }
-            for profile in ranked
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

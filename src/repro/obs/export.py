@@ -19,6 +19,10 @@ from typing import Any, Dict, Iterable, List, Optional
 
 TRACE_NAME = "trace.jsonl"
 
+#: Rows of the hottest-span-paths table that ``run --profile`` prints
+#: after its report and ``report`` prints for a traced run.
+ROLLUP_ROWS = 15
+
 #: Prefix marking non-fingerprinted (machine-dependent) span fields.
 WALL_PREFIX = "wall"
 

@@ -10,8 +10,8 @@ by tolerance band on wall time.
 
 CLI::
 
-    python -m repro.obs.perf diff <baseline> <current>
-    python -m repro.obs.perf show <snapshot-or-run>
+    python -m repro perf diff <baseline> <current>
+    python -m repro perf show <snapshot-or-run>
 
 where each argument may be a snapshot JSON, a run directory, a
 ``ledger.jsonl``, or a pytest-benchmark JSON export.

@@ -356,7 +356,7 @@ def render_diff(
     title: str = "Perf diff",
     fail_on: str = REGRESSION,
 ) -> str:
-    """The delta table ``python -m repro.obs.perf diff`` prints."""
+    """The delta table ``python -m repro perf diff`` prints."""
     lines = [
         f"{title}: {diff.compared} record(s) compared, "
         f"{len(diff.counter_deltas)} counter delta(s), "

@@ -245,3 +245,18 @@ class TestDeterminism:
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].strip()
+
+
+class TestCli:
+    def test_output_creates_parents_and_still_prints(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        output = tmp_path / "nested" / "dir" / "c.txt"
+        code = main([
+            "fault-analysis", "report", "--circuits", "dk16.ji.sd",
+            "--output", str(output),
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "dk16.ji.sd" in printed
+        assert output.read_text() == printed

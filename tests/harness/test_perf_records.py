@@ -21,7 +21,7 @@ from repro.obs.perf import (
     snapshot_from_ledger,
     write_snapshot,
 )
-from repro.obs.perf.__main__ import main as perf_main
+from repro.obs.perf.cli import main as perf_main
 
 from .test_runner import PAIRS, lean_config
 

@@ -147,7 +147,7 @@ class TestResume:
         ]
 
     def test_cli_parses_resume_flags(self, tmp_path):
-        from repro.harness.__main__ import build_parser
+        from repro.harness.cli import build_parser
 
         args = build_parser().parse_args(
             ["smoke", "--resume", "20260806-000000-abc123",

@@ -6,7 +6,7 @@ import pytest
 
 from repro.circuit import CircuitBuilder
 from repro.circuit.blif import save_blif
-from repro.lint.__main__ import main
+from repro.lint.cli import main
 
 
 @pytest.fixture

@@ -15,10 +15,8 @@ from repro.obs.coverage import (
     PROV_FAULT_DROP,
     PROV_RANDOM_PHASE,
     PROV_TARGETED,
-    TARGETS_SCHEMA_VERSION,
     cell_records_from_ledger_rows,
     coverage_curves,
-    hard_fault_targets,
     lifecycle_core,
     lifecycle_counter_block,
     rank_hard_faults,
@@ -330,19 +328,6 @@ class TestHardFaults:
         )
         assert rank_hard_faults(cell_records_from_ledger_rows([row])) == []
 
-    def test_targets_export_is_schema_versioned(self):
-        ranked = rank_hard_faults(
-            cell_records_from_ledger_rows(SAMPLE_ROWS)
-        )
-        targets = hard_fault_targets(ranked)
-        assert targets["schema"] == TARGETS_SCHEMA_VERSION
-        assert targets["generator"] == "repro.obs.coverage"
-        assert targets["targets"][0]["fault"] == "x1/0"
-        assert targets["targets"][0]["aborts"] == 1
-        # Deterministic JSON: round-trips through sort_keys unchanged.
-        dumped = json.dumps(targets, indent=2, sort_keys=True)
-        assert json.loads(dumped) == targets
-
 
 class TestRendering:
     def test_report_sections_are_deterministic(self):
@@ -407,20 +392,11 @@ class TestCli:
         assert code == 0
         assert "Hard-fault ranking" in capsys.readouterr().out
 
-    def test_output_and_targets_files(self, tmp_path, capsys):
+    def test_output_file(self, tmp_path, capsys):
         run_dir = self.write_run(tmp_path, SAMPLE_ROWS)
-        report = tmp_path / "coverage-report.txt"
-        targets = tmp_path / "hard-faults.json"
-        code = report_cli([
-            str(run_dir),
-            "--output", str(report),
-            "--targets", str(targets),
-        ])
-        assert code == 0
+        report = tmp_path / "out" / "coverage-report.txt"
+        assert report_cli([str(run_dir), "--output", str(report)]) == 0
         assert report.read_text() == capsys.readouterr().out
-        exported = json.loads(targets.read_text())
-        assert exported["schema"] == TARGETS_SCHEMA_VERSION
-        assert exported["targets"][0]["circuit"] == "dk16.ji.sd.re"
 
     def test_lifecycleless_ledger_exits_one(self, tmp_path):
         run_dir = self.write_run(

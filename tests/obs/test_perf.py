@@ -29,7 +29,7 @@ from repro.obs.perf import (
     write_snapshot,
     write_trajectory_snapshot,
 )
-from repro.obs.perf.__main__ import main as perf_main
+from repro.obs.perf.cli import main as perf_main
 
 
 def cell(key="hitec:dk16.ji.sd", backtracks=100, **extra):
@@ -386,6 +386,19 @@ class TestCli:
         empty = tmp_path / "rundir"
         empty.mkdir()
         assert perf_main(["diff", a, str(empty)]) == 2
+
+    def test_jsonl_without_ledger_rows_exits_two(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        span = {"seq": 0, "name": "task", "path": "task", "t0": 0.0}
+        trace.write_text(json.dumps(span) + "\n")
+        assert perf_main(["diff", str(trace), str(trace)]) == 2
+        assert "no ledger row" in capsys.readouterr().err
+
+    def test_ledger_without_ok_rows_is_accepted(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        row = TestLedgerIngestion().row(outcome="crashed")
+        ledger.write_text(json.dumps(row) + "\n")
+        assert perf_main(["diff", str(ledger), str(ledger)]) == 0
 
     def test_show_renders_effort_table(self, tmp_path, capsys):
         a = self.write(tmp_path, "a.json", snapshot(cell()))

@@ -1,8 +1,10 @@
-"""`python -m repro` dispatcher and legacy entry-point notices."""
+"""`python -m repro`: the one CLI spelling."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 from repro import __main__ as dispatcher
 
@@ -30,19 +32,21 @@ class TestDispatcher:
             assert command in result.stdout
         assert set(dispatcher.COMMANDS) == set(COMMANDS)
 
-    def test_delegates_to_subsystem_help(self):
-        result = run_module("repro", "lint", "--help")
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_delegates_to_subsystem_help(self, command):
+        result = run_module("repro", command, "--help")
         assert result.returncode == 0
-        assert "lint" in result.stdout
-        # The new spelling carries no deprecation chatter.
-        assert "deprecated" not in result.stderr
+        assert result.stdout.startswith(f"usage: python -m repro {command}")
+        assert result.stderr == ""
 
     def test_unknown_command_fails_cleanly(self):
         result = run_module("repro", "frobnicate")
         assert result.returncode != 0
 
-    def test_legacy_entry_points_note_once(self):
-        result = run_module("repro.lint", "--help")
-        assert result.returncode == 0
-        assert result.stderr.count("deprecated") == 1
-        assert "python -m repro lint" in result.stderr
+    @pytest.mark.parametrize(
+        "package", ("harness", "lint", "obs.perf", "fault.analysis")
+    )
+    def test_legacy_entry_points_are_gone(self, package):
+        result = run_module(f"repro.{package}", "--help")
+        assert result.returncode != 0
+        assert "cannot be directly executed" in result.stderr
