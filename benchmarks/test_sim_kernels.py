@@ -4,9 +4,10 @@ Unlike the bench_* table regenerations these are true microbenchmarks —
 the same fault-simulation workload is timed on both simulation backends
 for a few Table-2 circuits, and the same five-valued time-frame
 evaluation on the interpreted ``eval_gate5`` loop and the compiled
-kernel, and one simulation-based ATPG round on the group-loop oracle
-and the lane-parallel pass, so each kernel speedup is visible in
-isolation from engine search.  Results persist into
+kernel, HITEC's trace-memory stepping on ``TernarySimulator`` and the
+compiled kernel, and one simulation-based ATPG round on the group-loop
+oracle and the lane-parallel pass, so each kernel speedup is visible
+in isolation from engine search.  Results persist into
 ``benchmarks/baselines/pytest-bench.json`` (advisory, never gates).
 """
 
@@ -14,10 +15,13 @@ import pytest
 
 from repro._util import make_rng
 from repro.atpg import UnrolledModel, Variable
+from repro.atpg.frames import run_frames
 from repro.atpg.simbased import SimBasedEngine
 from repro.circuit import ZERO
 from repro.fault import Fault, FaultSimulator
 from repro.harness.suite import build_pair, synthesize_named
+from repro.sim import TernarySimulator
+from repro.sim.compile import FIVE_CODE, FIVE_DECODE, compiled_program_cached
 
 from tests.atpg.test_frames import reference_frames
 from tests.fault.reference import reference_run
@@ -163,3 +167,46 @@ def test_five_valued_frames(benchmark, backend):
     )
     other = FRAME_BACKENDS[1 - FRAME_BACKENDS.index(backend)]
     assert frames == _evaluate_stream(other, model, snapshots)
+
+
+# -- HITEC trace memory (fault-free stepping of emitted tests) -------------
+
+TRACE_BACKENDS = ("ternary", "compiled")
+
+
+def _trace_states(backend, circuit, sequences):
+    """Every state the sequences drive the machine through from reset:
+    one ``TernarySimulator.step`` per vector, or the compiled
+    five-valued kernel with the fault-free tables."""
+    states = []
+    if backend == "ternary":
+        simulator = TernarySimulator(circuit)
+        for sequence in sequences:
+            state = simulator.initial_state()
+            for vector in sequence:
+                _, state = simulator.step(vector, state)
+                states.append(state)
+        return states
+    program = compiled_program_cached(circuit)
+    reset = [FIVE_CODE[value] for value in circuit.initial_state()]
+    for sequence in sequences:
+        rows = ([FIVE_CODE[value] for value in vector] for vector in sequence)
+        for codes in run_frames(program, program.five_valued_tables, reset, rows):
+            states.append(
+                tuple(FIVE_DECODE[codes[slot]] for slot in program.dff_d_slots)
+            )
+    return states
+
+
+@pytest.mark.parametrize("backend", TRACE_BACKENDS)
+def test_trace_memory_stepping(benchmark, backend):
+    circuit = build_pair("dk16.ji.sd").retimed_circuit
+    sequences = _workload(circuit, seed=43, num_sequences=20, length=20)
+    states = benchmark.pedantic(
+        _trace_states,
+        args=(backend, circuit, sequences),
+        rounds=3,
+        iterations=1,
+    )
+    other = TRACE_BACKENDS[1 - TRACE_BACKENDS.index(backend)]
+    assert states == _trace_states(other, circuit, sequences)

@@ -29,27 +29,78 @@ circuit shares it:
   new fault never recompiles; a PI or DFF-output site applies its
   table when the source is loaded.
 
-:meth:`UnrolledModel.simulate` decodes the codes back to the
-five-valued literals of :mod:`repro.circuit.gates`, whose
+The search reads the codes themselves
+(:meth:`UnrolledModel.simulate_codes`): PODEM's goal, objective,
+backtrace, D-frontier and X-path checks test a good rail as
+``code & 3`` (0 = X, 1 = 0, 2 = 1) and a fault effect as ``code`` 6 or
+9.  Only :meth:`UnrolledModel.simulate` decodes, for callers that want
+the five-valued literals of :mod:`repro.circuit.gates`, whose
 :func:`~repro.circuit.gates.eval_gate5` stays the definitional oracle.
+
+:func:`run_frames` is the one frame loader: the model's window and
+HITEC's trace memory (the fault-free stepping of every emitted test,
+where five-valued evaluation is exact ternary) both run through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..circuit.gates import ONE, X, ZERO, GateType
+from ..circuit.gates import ONE, ZERO, GateType
 from ..circuit.netlist import Circuit
 from ..errors import AtpgError
 from ..fault.model import Fault
 from ..sim.compile import (
     FIVE_CODE,
     FIVE_DECODE,
+    CompiledProgram,
     WordOp,
     compiled_program_cached,
     five_stuck_table,
 )
+
+
+def run_frames(
+    program: CompiledProgram,
+    tables: Sequence[Sequence[int]],
+    state: Sequence[int],
+    rows: Iterable[Sequence[int]],
+    fault_slot: int = -1,
+) -> Iterator[List[int]]:
+    """Five-valued evaluation of consecutive frames.
+
+    ``state`` holds frame 0's code per register, each of ``rows`` one
+    frame's code per primary input; every later frame's registers take
+    the previous frame's D-input codes.  ``fault_slot`` names a source
+    slot whose (stuck) table applies when the sources are loaded.
+    Yields one fresh code array per frame.
+    """
+    kernel = program.five_valued_kernel
+    num_slots = program.num_slots
+    input_slots = program.input_slots
+    dff_out_slots = program.dff_out_slots
+    dff_d_slots = program.dff_d_slots
+    for row in rows:
+        codes = [0] * num_slots
+        for slot, code in zip(dff_out_slots, state):
+            codes[slot] = code
+        for slot, code in zip(input_slots, row):
+            codes[slot] = code
+        if fault_slot >= 0:
+            codes[fault_slot] = tables[fault_slot][codes[fault_slot]]
+        kernel(codes, tables)
+        yield codes
+        state = [codes[slot] for slot in dff_d_slots]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,6 +156,12 @@ class UnrolledModel:
             for name in program.order
         )
         self._gates = tuple(circuit.node(name).gate for name in program.order)
+        # The D-frontier's candidates: the gate readers of each slot (a
+        # register output is the next frame's source, never a member).
+        self.gate_fanout_slots: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(r for r in readers if r not in self.dff_position)
+            for readers in self.fanout_slots
+        )
 
         # The kernel's output tables: the circuit's shared fault-free
         # tables, with the fault site's table swapped for a stuck one.
@@ -213,31 +270,33 @@ class UnrolledModel:
 
     # -- simulation ----------------------------------------------------------
 
+    def simulate_codes(self) -> List[List[int]]:
+        """Evaluate all ``num_frames`` frames; returns the 4-bit code
+        arrays (``codes[frame][node_index]``) the search reads."""
+        state = [0] * len(self._program.dff_out_slots)
+        for position, value in self.state_assignment.items():
+            state[position] = FIVE_CODE[value]
+        num_frames = self.num_frames
+        num_pis = len(self._program.input_slots)
+        rows = [[0] * num_pis for _ in range(num_frames)]
+        for (frame, position), value in self.pi_assignment.items():
+            if frame < num_frames:
+                rows[frame][position] = FIVE_CODE[value]
+        return list(
+            run_frames(
+                self._program,
+                self._tables,
+                state,
+                rows,
+                self._source_fault_slot,
+            )
+        )
+
     def simulate(self) -> List[List[int]]:
         """Evaluate all ``num_frames`` frames; returns five-valued value
         arrays (``values[frame][node_index]``)."""
-        program = self._program
-        kernel = program.five_valued_kernel
-        tables = self._tables
-        fault_slot = self._source_fault_slot
-        pi_assignment = self.pi_assignment
         decode = FIVE_DECODE.__getitem__
-        codes = [0] * program.num_slots
-        for position, slot in enumerate(program.dff_out_slots):
-            codes[slot] = FIVE_CODE[self.state_assignment.get(position, X)]
-        frames: List[List[int]] = []
-        for frame in range(self.num_frames):
-            if frame:
-                previous_d = [codes[slot] for slot in program.dff_d_slots]
-                for slot, code in zip(program.dff_out_slots, previous_d):
-                    codes[slot] = code
-            for position, slot in enumerate(program.input_slots):
-                codes[slot] = FIVE_CODE[pi_assignment.get((frame, position), X)]
-            if fault_slot >= 0:
-                codes[fault_slot] = tables[fault_slot][codes[fault_slot]]
-            kernel(codes, tables)
-            frames.append(list(map(decode, codes)))
-        return frames
+        return [list(map(decode, codes)) for codes in self.simulate_codes()]
 
     # -- window control ------------------------------------------------------
 

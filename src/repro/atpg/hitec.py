@@ -63,9 +63,9 @@ from ..obs.coverage import (
     PROV_RANDOM_PHASE,
 )
 from ..obs.search import SearchObserver, StateClassifier
-from ..sim.logicsim import TernarySimulator
+from ..sim.compile import FIVE_CODE, FIVE_DECODE, compiled_program_cached
 from .._util import make_rng
-from .frames import UnrolledModel
+from .frames import UnrolledModel, run_frames
 from .learning import IllegalStateCache, cube_key
 from .podem import FaultPodem, JustifyPodem, SearchMeter
 from .result import (
@@ -142,14 +142,24 @@ class Justifier:
 
     # -- knowledge maintenance ------------------------------------------------
 
-    def remember_trace(
-        self, simulator: TernarySimulator, sequence: Sequence[Vector]
-    ) -> None:
+    def remember_trace(self, sequence: Sequence[Vector]) -> None:
         """Record every state a validated test drives the machine
-        through, with its prefix, for reuse by later justifications."""
-        state = simulator.initial_state()
-        for index, vector in enumerate(sequence):
-            _, state = simulator.step(vector, state)
+        through, with its prefix, for reuse by later justifications.
+
+        The sequence steps through the circuit's compiled five-valued
+        kernel with the fault-free tables: with no fault, both rails of
+        every code agree, so the evaluation is exact ternary.
+        """
+        program = compiled_program_cached(self.circuit)
+        dff_d_slots = program.dff_d_slots
+        frames = run_frames(
+            program,
+            program.five_valued_tables,
+            [FIVE_CODE[value] for value in self.circuit.initial_state()],
+            ([FIVE_CODE[value] for value in vector] for vector in sequence),
+        )
+        for index, codes in enumerate(frames):
+            state = tuple(FIVE_DECODE[codes[slot]] for slot in dff_d_slots)
             if X in state:
                 # A partially-known state is useless as a justification
                 # shortcut (no stored prefix provably reaches it), but
@@ -322,7 +332,6 @@ class HitecEngine:
         self.learning_cache = IllegalStateCache() if learning else None
         self._rng = make_rng(rng_seed)
         self._simulator = FaultSimulator(circuit, backend=sim_backend)
-        self._good_sim = TernarySimulator(circuit)
         self._num_pis = len(circuit.inputs)
         # One valid/invalid oracle per engine instance over the
         # circuit's shared reachable set: every classification verdict
@@ -389,7 +398,7 @@ class HitecEngine:
             if outcome.state == "detected":
                 detected_by = len(test_set)
                 test_set.add(outcome.sequence)
-                justifier.remember_trace(self._good_sim, outcome.sequence)
+                justifier.remember_trace(outcome.sequence)
                 # Fault dropping: run the new sequence over open faults.
                 total_watch.charge(_COST_SEQUENCE_SIM)
                 with tracer.span("sim.fault_drop"):
@@ -448,7 +457,7 @@ class HitecEngine:
             if not report.detected:
                 continue
             test_set.add(sequence)
-            justifier.remember_trace(self._good_sim, sequence)
+            justifier.remember_trace(sequence)
             for fault in report.detected:
                 book.detected(fault, PROV_RANDOM_PHASE, len(test_set) - 1)
             open_faults = [f for f in open_faults if f not in report.detected]

@@ -12,6 +12,11 @@ backtracks and continues, so callers can try alternative excitation
 states or preimages when a downstream step fails.  All search effort is
 charged to a shared :class:`SearchMeter`, the budget the paper's
 aborted-fault accounting hangs on.
+
+The search reads the model's 4-bit codes
+(:meth:`~repro.atpg.frames.UnrolledModel.simulate_codes`), never
+decoded literals: a node's good rail is ``code & 3`` (0 = X, 1 = 0,
+2 = 1), and it carries a fault effect iff its code is D (6) or D̄ (9).
 """
 
 from __future__ import annotations
@@ -19,19 +24,32 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..circuit.gates import (
-    D,
-    DBAR,
-    GateType,
-    ONE,
-    X,
-    ZERO,
-    five_split,
-)
+from ..circuit.gates import D, DBAR, GateType, ONE, X, ZERO
 from ..errors import AtpgError
 from ..obs.coverage import ABORT_BACKTRACK_LIMIT, ABORT_TIME_BUDGET
+from ..sim.compile import FIVE_CODE
 from .frames import UnrolledModel, Variable
 from .result import Stopwatch
+
+Codes = List[List[int]]  # one code array per frame
+
+#: The good-rail bits (``code & 3``) of a required 0 or 1.
+_GOOD_RAIL = (FIVE_CODE[ZERO] & 3, FIVE_CODE[ONE] & 3)
+_EFFECT_CODES = (FIVE_CODE[D], FIVE_CODE[DBAR])
+#: Codes with both rails fixed and equal: they block a fault effect.
+_BLOCKING_CODES = (FIVE_CODE[ZERO], FIVE_CODE[ONE])
+
+
+def effect_slots(codes: List[int]) -> List[int]:
+    """The slots of one frame that carry D or D̄ (D slots first)."""
+    raw = bytes(codes)
+    slots = []
+    for code in _EFFECT_CODES:
+        slot = raw.find(code)
+        while slot >= 0:
+            slots.append(slot)
+            slot = raw.find(code, slot + 1)
+    return slots
 
 
 class SearchMeter:
@@ -127,16 +145,16 @@ class _PodemBase:
 
     # -- subclass interface -------------------------------------------------
 
-    def goal_satisfied(self, frames: List[List[int]]) -> bool:
+    def goal_satisfied(self, frames: Codes) -> bool:
         raise NotImplementedError
 
-    def goal_impossible(self, frames: List[List[int]]) -> bool:
+    def goal_impossible(self, frames: Codes) -> bool:
         """True when no extension of the current assignment can reach the
         goal (triggers a backtrack without wasting decisions)."""
         raise NotImplementedError
 
     def next_objective(
-        self, frames: List[List[int]]
+        self, frames: Codes
     ) -> Optional[Tuple[int, int, int]]:
         """(frame, node_index, desired_value) to pursue next, or None if
         no objective can be formed (triggers a backtrack)."""
@@ -157,7 +175,7 @@ class _PodemBase:
             if self.meter.exhausted():
                 self.outcome.exhausted = False
                 return
-            frames = model.simulate()
+            frames = model.simulate_codes()
             if self.goal_satisfied(frames):
                 yield Solution(
                     pi_assignment=dict(model.pi_assignment),
@@ -206,7 +224,7 @@ class _PodemBase:
     # -- backtrace ---------------------------------------------------------------
 
     def _backtrace(
-        self, frames: List[List[int]], objective: Tuple[int, int, int]
+        self, frames: Codes, objective: Tuple[int, int, int]
     ) -> Tuple[Optional[Variable], int]:
         """Walk an objective back to an unassigned decision variable.
 
@@ -256,11 +274,12 @@ class _PodemBase:
                 chosen = None
                 acc = 0
                 for input_index in fanin:
-                    good, _ = five_split(values[input_index])
-                    if good == X and chosen is None:
-                        chosen = input_index
-                    elif good in (ZERO, ONE):
-                        acc ^= good
+                    good = values[input_index] & 3
+                    if not good:
+                        if chosen is None:
+                            chosen = input_index
+                    else:
+                        acc ^= good >> 1  # rail 1 is 0, rail 2 is 1
                 if chosen is None:
                     return None, 0
                 needed = acc ^ value ^ (1 if parity == ONE else 0)
@@ -279,11 +298,7 @@ class _PodemBase:
             else:  # OR / NOR
                 need = effective  # 1: one input 1; 0: all inputs 0
                 want_all = need == ZERO
-            x_inputs = [
-                i
-                for i in fanin
-                if five_split(values[i])[0] == X
-            ]
+            x_inputs = [i for i in fanin if not values[i] & 3]
             if not x_inputs:
                 return None, 0
             if want_all:
@@ -317,97 +332,103 @@ class FaultPodem(_PodemBase):
         self._activation = (
             ONE if model.fault.stuck_at == ZERO else ZERO
         )
+        self._activation_rail = _GOOD_RAIL[self._activation]
 
-    def goal_satisfied(self, frames: List[List[int]]) -> bool:
-        for values in frames:
-            for po_index in self.model.po_indices():
-                if values[po_index] in (D, DBAR):
+    def goal_satisfied(self, frames: Codes) -> bool:
+        po_indices = self.model.po_indices()
+        for codes in frames:
+            for po_index in po_indices:
+                if codes[po_index] in _EFFECT_CODES:
                     return True
         return False
 
-    def goal_impossible(self, frames: List[List[int]]) -> bool:
-        good0, _ = five_split(frames[0][self._fault_index])
-        if good0 == X:
+    def goal_impossible(self, frames: Codes) -> bool:
+        good0 = frames[0][self._fault_index] & 3
+        if not good0:
             return False  # excitation still open
-        if good0 != self._activation:
+        if good0 != self._activation_rail:
             return True  # frame-0 excitation conflicts: this branch dies
         # Excited: fault effect must still have an escape route.
         return not self._x_path_exists(frames)
 
     def next_objective(
-        self, frames: List[List[int]]
+        self, frames: Codes
     ) -> Optional[Tuple[int, int, int]]:
-        good0, _ = five_split(frames[0][self._fault_index])
-        if good0 == X:
+        if not frames[0][self._fault_index] & 3:
             return (0, self._fault_index, self._activation)
         frontier = self._d_frontier(frames)
         if not frontier:
             return None
         frame, gate_index = frontier[0]
-        values = frames[frame]
+        codes = frames[frame]
         gate = self.model.node_gate(gate_index)
         noncontrolling = gate.noncontrolling_value()
         for input_index in self.model.node_fanin(gate_index):
-            good, _ = five_split(values[input_index])
-            if good == X:
+            if not codes[input_index] & 3:
                 target = (
                     noncontrolling if noncontrolling != X else ONE
                 )
                 return (frame, input_index, target)
         return None
 
-    def _d_frontier(
-        self, frames: List[List[int]]
-    ) -> List[Tuple[int, int]]:
+    def _d_frontier(self, frames: Codes) -> List[Tuple[int, int]]:
         """Gates with a D/D̄ input and an X output, best-first.
 
         Preference: smaller distance to a PO, then smaller distance to a
         register D-input (a route into the next frame), then later frame
-        (fault effects that already travelled far).
+        (fault effects that already travelled far), then topological
+        order.  Only the gate readers of D/D̄ slots are candidates.
         """
         model = self.model
-        frontier: List[Tuple[int, int]] = []
-        scores: Dict[Tuple[int, int], Tuple] = {}
-        for frame, values in enumerate(frames):
-            for _, out_index, fanin_index in model.plan:
-                if values[out_index] != X:
-                    continue
-                if not any(values[i] in (D, DBAR) for i in fanin_index):
-                    continue
-                key = (frame, out_index)
-                frontier.append(key)
-                room = model.max_frames - frame
-                scores[key] = (
-                    model.dist_po[out_index],
-                    model.dist_dff[out_index] if room > 1 else 10 ** 9,
-                    -frame,
+        readers = model.gate_fanout_slots
+        dist_po = model.dist_po
+        dist_dff = model.dist_dff
+        last_frame = model.max_frames - 1
+        ranked = []
+        for frame, codes in enumerate(frames):
+            members = {
+                reader
+                for index in effect_slots(codes)
+                for reader in readers[index]
+                if not codes[reader]
+            }
+            for out_index in members:
+                ranked.append(
+                    (
+                        dist_po[out_index],
+                        dist_dff[out_index] if frame < last_frame else 10 ** 9,
+                        -frame,
+                        out_index,
+                    )
                 )
-        frontier.sort(key=lambda k: scores[k])
-        return frontier
+        ranked.sort()
+        return [(-neg_frame, index) for _, _, neg_frame, index in ranked]
 
-    def _x_path_exists(self, frames: List[List[int]]) -> bool:
+    def _x_path_exists(self, frames: Codes) -> bool:
         """Can any D/D̄ still reach a PO through X-valued nodes, within
         the maximum window (frames beyond the current window count as
         fully X)?"""
         model = self.model
         po_set = model.po_slots
+        dff_position = model.dff_position
+        fanout_slots = model.fanout_slots
+        max_frames = model.max_frames
+        simulated = len(frames)
         # Seed: nodes carrying D in any simulated frame.
         reached: Set[Tuple[int, int]] = set()
         worklist: List[Tuple[int, int]] = []
-        for frame, values in enumerate(frames):
-            for index, value in enumerate(values):
-                if value in (D, DBAR):
-                    if index in po_set:
-                        return True
-                    reached.add((frame, index))
-                    worklist.append((frame, index))
-        fanout_slots = model.fanout_slots
+        for frame, codes in enumerate(frames):
+            for index in effect_slots(codes):
+                if index in po_set:
+                    return True
+                reached.add((frame, index))
+                worklist.append((frame, index))
         while worklist:
             frame, index = worklist.pop()
             for reader_index in fanout_slots[index]:
-                if reader_index in model.dff_position:
+                if reader_index in dff_position:
                     next_frame = frame + 1
-                    if next_frame >= model.max_frames:
+                    if next_frame >= max_frames:
                         continue
                     key = (next_frame, reader_index)
                     if key in reached:
@@ -417,9 +438,8 @@ class FaultPodem(_PodemBase):
                     if reader_index in po_set:
                         return True
                     continue
-                if frame < len(frames):
-                    value = frames[frame][reader_index]
-                    if value not in (X, D, DBAR):
+                if frame < simulated:
+                    if frames[frame][reader_index] in _BLOCKING_CODES:
                         continue  # blocked by a fixed value
                 if reader_index in po_set:
                     return True
@@ -446,33 +466,32 @@ class JustifyPodem(_PodemBase):
         if model.num_frames != 1:
             model.set_frames(1)
         self.required = dict(required)
+        # (slot, required value, its good-rail bits) per cube literal.
         self._targets = [
-            (model.dff_d_indices()[position], value)
+            (model.dff_d_indices()[position], value, _GOOD_RAIL[value])
             for position, value in sorted(self.required.items())
         ]
 
-    def goal_satisfied(self, frames: List[List[int]]) -> bool:
-        values = frames[0]
-        for index, value in self._targets:
-            good, _ = five_split(values[index])
-            if good != value:
+    def goal_satisfied(self, frames: Codes) -> bool:
+        codes = frames[0]
+        for index, _, rail in self._targets:
+            if codes[index] & 3 != rail:
                 return False
         return True
 
-    def goal_impossible(self, frames: List[List[int]]) -> bool:
-        values = frames[0]
-        for index, value in self._targets:
-            good, _ = five_split(values[index])
-            if good != X and good != value:
+    def goal_impossible(self, frames: Codes) -> bool:
+        codes = frames[0]
+        for index, _, rail in self._targets:
+            good = codes[index] & 3
+            if good and good != rail:
                 return True
         return False
 
     def next_objective(
-        self, frames: List[List[int]]
+        self, frames: Codes
     ) -> Optional[Tuple[int, int, int]]:
-        values = frames[0]
-        for index, value in self._targets:
-            good, _ = five_split(values[index])
-            if good == X:
+        codes = frames[0]
+        for index, value, _ in self._targets:
+            if not codes[index] & 3:
                 return (0, index, value)
         return None

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.density import reachability_report
 from ..atpg.hitec import HitecEngine
 from ..fault.analysis import analyze_faults_cached
+from ..obs import Tracer
 from .config import HarnessConfig, select_target_faults
 from .suite import TABLE7_CIRCUIT
 from .table7 import sweep_circuits
@@ -65,7 +66,10 @@ def generate(
     config: Optional[HarnessConfig] = None,
     circuit_name: str = TABLE7_CIRCUIT,
     depths: Tuple[int, ...] = (1, 2),
+    tracer: Optional[Tracer] = None,
 ) -> List[Curve]:
+    """One HITEC run per sweep circuit; ``tracer`` records each run's
+    ``atpg.*`` spans (a harness cell passes its own)."""
     config = config or HarnessConfig.default()
     original, versions = sweep_circuits(config, circuit_name, depths)
     circuits = [original.circuit] + [v.circuit for v in versions]
@@ -78,7 +82,9 @@ def generate(
             circuit, level=config.collapse_level
         )
         faults = select_target_faults(analysis, config)
-        result = HitecEngine(circuit, budget=config.budget).run(faults)
+        result = HitecEngine(
+            circuit, budget=config.budget, tracer=tracer
+        ).run(faults)
         points = [
             (cp.cpu_seconds, cp.fault_efficiency)
             for cp in result.checkpoints

@@ -222,7 +222,7 @@ def _table7_cell(
 def _figure3_cell(
     task: TaskSpec, config: HarnessConfig, tracer: Tracer
 ) -> Dict:
-    curves = figure3.generate(config)
+    curves = figure3.generate(config, tracer=tracer)
     return {"curves": [curve.to_dict() for curve in curves]}
 
 

@@ -9,8 +9,9 @@ the same EXPAND / IRREDUNDANT / REDUCE loop over the cube covers of
 * **IRREDUNDANT** removes each cube that the rest of the cover plus the
   DC-set already covers.
 * **REDUCE** shrinks each cube to the smallest cube covering the
-  minterms only it covers, giving EXPAND room to move in a different
-  direction on the next pass.
+  minterms only it covers (the supercube of its essential part),
+  giving EXPAND room to move in a different direction on the next
+  pass.
 
 The loop runs until the cost (cubes, literals) stops improving.
 
@@ -267,6 +268,14 @@ def _reduce(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
     """Shrink each cube to its essential part (maximally reduced cube
     that still covers the minterms no other cube covers).
 
+    The essential part of ``cube`` is E = cube ∧ ¬(rest ∪ dc), and the
+    reduced cube is E's supercube: a free position p is fixed to v iff
+    every minterm of E has p = v, i.e. iff ``cube|p=¬v`` is covered by
+    rest ∪ dc.  So one check of the whole cube, then at most two per
+    free position of the original cube decide it, in any order.  When
+    E is empty (the whole cube is covered) every free position is
+    fixed to 0, where the drop-one-literal-and-rescan loop ends too.
+
     REDUCE must be *sequential*: once a cube has been shrunk, later cubes
     see the shrunk version, otherwise two overlapping cubes can each
     delegate the same minterms to the other and both drop them, losing
@@ -301,24 +310,18 @@ def _reduce(cover: Cover, dc: Cover, oracle: Optional[_Oracle]) -> Cover:
             def covered(part: Cube) -> bool:
                 return with_dc.contains_cube(part)
 
+        free = list(bit_positions(full & ~cube.mask))
         shrunk = cube
-        changed = True
-        while changed:
-            changed = False
-            for position in bit_positions(full & ~shrunk.mask):
-                for polarity in (0, 1):
-                    candidate = shrunk.restrict_position(position, polarity)
-                    removed_part = shrunk.restrict_position(
-                        position, 1 - polarity
-                    )
-                    # Legal to shrink only if the removed half is covered
-                    # by the other cubes (or don't-care).
-                    if covered(removed_part):
-                        shrunk = candidate
-                        changed = True
-                        break
-                if changed:
-                    break
+        if free and covered(cube):
+            # E is empty.
+            for position in free:
+                shrunk = shrunk.restrict_position(position, 0)
+        else:
+            for position in free:
+                if covered(cube.restrict_position(position, 1)):
+                    shrunk = shrunk.restrict_position(position, 0)
+                elif covered(cube.restrict_position(position, 0)):
+                    shrunk = shrunk.restrict_position(position, 1)
         reduced.append(shrunk)
         if oracle is not None:
             reduced_prefix_bdd = oracle.or_(

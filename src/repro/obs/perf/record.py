@@ -192,8 +192,9 @@ def load_snapshot(path: str) -> PerfSnapshot:
 
 
 def load_ledger_rows(path: str) -> List[Dict[str, Any]]:
-    """Tolerant JSONL read of a run ledger (torn lines skipped), same
-    semantics as :func:`repro.harness.ledger.load_records`."""
+    """Tolerant JSONL read of a run ledger, same semantics as
+    :func:`repro.harness.ledger.load_records`: torn lines and lines
+    that parse to a JSON value other than an object are skipped."""
     rows: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -201,9 +202,11 @@ def load_ledger_rows(path: str) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except ValueError:
                 continue
+            if isinstance(row, dict):
+                rows.append(row)
     return rows
 
 

@@ -1,7 +1,10 @@
-"""Figure 3 curve utilities (rendering tested; generation is exercised
-by the smoke benches)."""
+"""Figure 3 curve utilities, and the tracer a generation run records
+on (full generation is exercised by the smoke benches)."""
 
-from repro.harness.figure3 import Curve, render
+from repro.atpg.result import EffortBudget
+from repro.harness.config import HarnessConfig
+from repro.harness.figure3 import Curve, generate, render
+from repro.obs import Tracer
 
 
 def sample_curves():
@@ -37,3 +40,25 @@ class TestRender:
     def test_unreached_levels_dashed(self):
         text = render(sample_curves())
         assert "-" in text
+
+
+def test_generate_records_hitec_spans_on_the_given_tracer():
+    """Each sweep circuit's HITEC run records its spans on the tracer
+    it is handed, so a profiled Figure 3 cell is not dark."""
+    budget = EffortBudget(
+        max_backtracks=20,
+        max_frames=2,
+        max_justify_depth=3,
+        max_preimages=2,
+        per_fault_seconds=0.2,
+        total_seconds=5.0,
+        random_sequences=4,
+        random_length=10,
+    )
+    config = HarnessConfig(budget=budget, max_faults=4)
+    tracer = Tracer(record=True)
+    curves = generate(config, depths=(1,), tracer=tracer)
+    runs = [span for span in tracer.export() if span["name"] == "atpg.run"]
+    assert [span["attrs"]["circuit"] for span in runs] == [
+        curve.circuit_name for curve in curves
+    ]

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic.cube import Cover, Cube
+from repro._util import bit_positions
 from repro.logic.espresso import (
     _BDD_ORACLE_WIDTH,
     _Oracle,
+    _reduce,
     MinimizationResult,
     minimize,
     verify_minimization,
@@ -132,3 +134,83 @@ class TestOracle:
             assert oracle.cube_inside(cube, space) == cover.contains_cube(
                 cube
             )
+
+
+def reduce_by_rescan(cover, dc, oracle):
+    """REDUCE as a drop-one-literal-and-rescan loop: shrink while a
+    removed half is covered by the rest (reduced cubes before, original
+    cubes after) plus DC, restarting the scan after every drop.  The
+    oracle for the one-supercube-per-cube ``_reduce``."""
+    full = (1 << cover.width) - 1
+    reduced = []
+    for index, cube in enumerate(cover.cubes):
+        rest = Cover(cover.width, reduced + cover.cubes[index + 1 :] + dc.cubes)
+        if oracle is not None:
+            rest_bdd = oracle.cover_bdd(rest)
+
+            def covered(part):
+                return oracle.cube_inside(part, rest_bdd)
+
+        else:
+            covered = rest.contains_cube
+        shrunk = cube
+        changed = True
+        while changed:
+            changed = False
+            for position in bit_positions(full & ~shrunk.mask):
+                for polarity in (0, 1):
+                    removed = shrunk.restrict_position(position, 1 - polarity)
+                    if covered(removed):
+                        shrunk = shrunk.restrict_position(position, polarity)
+                        changed = True
+                        break
+                if changed:
+                    break
+        reduced.append(shrunk)
+    return Cover(cover.width, reduced)
+
+
+class TestReduce:
+    """``_reduce`` computes each cube's supercube of its essential part
+    directly; the rescan loop it replaced stays the oracle."""
+
+    @given(
+        st.lists(cube_strings(6), min_size=1, max_size=9),
+        st.lists(cube_strings(6), min_size=0, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cube_path_matches_rescan(self, on_rows, dc_rows):
+        on = Cover.from_strings(6, on_rows)
+        dc = Cover.from_strings(6, dc_rows)
+        assert (
+            _reduce(on, dc, None).to_strings()
+            == reduce_by_rescan(on, dc, None).to_strings()
+        )
+
+    @given(
+        st.lists(cube_strings(14), min_size=1, max_size=9),
+        st.lists(cube_strings(14), min_size=0, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bdd_path_matches_rescan(self, on_rows, dc_rows):
+        assert 14 > _BDD_ORACLE_WIDTH
+        on = Cover.from_strings(14, on_rows)
+        dc = Cover.from_strings(14, dc_rows)
+        oracle = _Oracle(14, reference=on)
+        assert (
+            _reduce(on, dc, oracle).to_strings()
+            == reduce_by_rescan(on, dc, oracle).to_strings()
+        )
+
+    @pytest.mark.parametrize("width", [3, 14])
+    def test_empty_essential_part_fixes_free_positions_to_zero(self, width):
+        """A cube the rest covers entirely has no essential part: every
+        free position goes to 0, as the rescan loop leaves it."""
+        on = Cover.from_strings(
+            width, ["11" + "-" * (width - 2), "1" + "-" * (width - 1)]
+        )
+        oracle = _Oracle(width, reference=on) if width > _BDD_ORACLE_WIDTH else None
+        expected = ["11" + "0" * (width - 2), "1" + "-" * (width - 1)]
+        empty = Cover.empty(width)
+        assert _reduce(on, empty, oracle).to_strings() == expected
+        assert reduce_by_rescan(on, empty, oracle).to_strings() == expected

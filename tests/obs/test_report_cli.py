@@ -170,3 +170,31 @@ def test_torn_trace_exits_two(tmp_path):
     assert result.returncode == 2
     assert "unreadable trace" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["report", "{run}"], id="report"),
+        pytest.param(["perf", "diff", "{run}", "{run}"], id="perf-diff"),
+    ],
+)
+def test_non_object_ledger_lines_are_skipped(tmp_path, argv):
+    """A ledger line that parses to JSON but not to an object (a list,
+    a string) is torn, as ``harness.ledger.load_records`` counts it:
+    both ledger readers exit cleanly instead of dying on ``row.get``."""
+    run_dir = write_run(tmp_path, WASTE_ROWS)
+    with open(run_dir / "ledger.jsonl", "a") as handle:
+        handle.write("[1, 2]\n")
+        handle.write('"str"\n')
+    src = os.path.join(os.path.dirname(repro.__file__), os.pardir)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro"]
+        + [arg.format(run=run_dir) for arg in argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr

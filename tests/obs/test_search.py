@@ -194,9 +194,8 @@ class TestEngineWiring:
             observer=observer,
         )
         known_before = len(justifier.known_states)
-        simulator = TernarySimulator(two_bit_counter)
         num_pis = len(two_bit_counter.inputs)
-        justifier.remember_trace(simulator, [[X] * num_pis] * 3)
+        justifier.remember_trace([[X] * num_pis] * 3)
         assert observer.tally.partial_states == 3
         assert len(justifier.known_states) == known_before
 
